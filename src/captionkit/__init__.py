@@ -8,6 +8,7 @@ from captionkit.analysis import (
     bleu,
     entropy_profile,
     grad_norm_probe,
+    nll_loss,
     unique_words_per_position,
     word_accuracy,
 )
@@ -18,7 +19,6 @@ from captionkit.convmodel import (
     DecoderState,
     ModelConfig,
     attend,
-    forward_teacher_forced,
 )
 from captionkit.convmodel import init_params as init_caption_model
 from captionkit.data import (
@@ -34,13 +34,12 @@ from captionkit.data import (
     write_features,
 )
 from captionkit.decoding import BeamHypothesis, beam_search, greedy_decode, sample_decode
-from captionkit.lstmmodel import LstmConfig, LstmModel, LstmState, lstm_step
+from captionkit.lstmmodel import LstmConfig, LstmModel, LstmState
 from captionkit.lstmmodel import init_params as init_lstm_model
 from captionkit.training import (
     RmsProp,
     TrainConfig,
     lr_for_epoch,
-    nll_loss,
     prepare_examples,
     train,
 )
@@ -69,14 +68,12 @@ __all__ = [
     "decode",
     "encode",
     "entropy_profile",
-    "forward_teacher_forced",
     "grad_norm_probe",
     "greedy_decode",
     "init_caption_model",
     "init_lstm_model",
     "load_checkpoint",
     "lr_for_epoch",
-    "lstm_step",
     "nll_loss",
     "prepare_examples",
     "read_features",

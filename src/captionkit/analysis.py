@@ -1,20 +1,22 @@
-"""Corpus BLEU and the diagnostic measurements logged during and after
-training: teacher-forced loss, output entropy, word accuracy, gradient norms
-at the embedding and classification layers, and beam diversity per position.
+"""Corpus BLEU, the clamped NLL training objective, and the diagnostic
+measurements logged during and after training: teacher-forced loss, output
+entropy, word accuracy, gradient norms at the embedding and classification
+layers, and beam diversity per position.
 
-All functions are pure in (model snapshot, dataset): repeated calls return
-identical values, and everything teacher-forced runs with dropout off.
+The measurements are pure in (model snapshot, dataset): repeated calls
+return identical values, and everything teacher-forced runs with dropout off.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from captionkit import autodiff as ad
+from captionkit.autodiff import Tensor
 from captionkit.data import END_ID, TokenSeq
 
 BLEU_EPSILON = 1e-9
@@ -32,6 +34,7 @@ class AnalysisRecord:
     entropy: float
     grad_norm_in: float
     grad_norm_out: float
+    finite: bool = True  # probe gradients finite; not a metrics.csv column
 
     def csv_row(self) -> str:
         return (
@@ -100,33 +103,63 @@ def bleu(candidates, references, max_n: int = 4):
 
 
 # ---------------------------------------------------------------------------
-# teacher-forced measurements
+# the training objective and the teacher-forced measurements
 
 
-def _teacher_forced_probs(model, example) -> np.ndarray:
-    return model.forward_probs(example.seq.input_ids, example.features)
+@dataclass
+class LossStats:
+    clamped: int = 0
 
 
-def mean_nll(model, examples) -> float:
-    """Mean over examples of the per-token mean NLL (the training objective)."""
-    total = 0.0
-    for ex in examples:
-        probs = _teacher_forced_probs(model, ex)
-        rows = ex.seq.valid_len
-        sel = probs[np.arange(rows), ex.seq.target_ids[:rows]]
-        total += -np.log(np.maximum(sel, PROB_FLOOR)).mean()
-    return total / len(examples)
+def nll_loss(probs: Tensor, target: TokenSeq, reduction: str = "mean",
+             stats: LossStats | None = None) -> Tensor:
+    """Negative log-likelihood of the unpadded target positions.
+
+    Probabilities below 1e-12 (in particular exact zeros) are clamped there,
+    and each such event bumps ``stats.clamped`` when a stats object is given.
+    ``mean`` divides by the number of unpadded positions; ``sum`` does not.
+    """
+    rows = target.valid_len
+    if probs.data.shape[0] < rows:
+        raise ad.ShapeError(f"{probs.data.shape[0]} probability rows for {rows} target positions")
+    sel = ad.pick(probs, target.target_ids[:rows])
+    if stats is not None:
+        stats.clamped += int(np.count_nonzero(sel.data < PROB_FLOOR))
+    total = ad.sum_all(ad.log(ad.clamp_min(sel, PROB_FLOOR)))
+    return ad.scale(total, -1.0 / rows if reduction == "mean" else -1.0)
 
 
-def entropy_profile(model, examples) -> float:
-    """Mean output entropy in nats over all unpadded positions."""
-    total = 0.0
-    count = 0
-    for ex in examples:
-        probs = _teacher_forced_probs(model, ex)[: ex.seq.valid_len]
-        total += float(_row_entropies(probs).sum())
-        count += probs.shape[0]
-    return total / count
+@dataclass
+class _Totals:
+    """Running sums of the per-example loss, argmax hits and row entropies."""
+
+    nll_sum: float = 0.0
+    hits: int = 0
+    entropy_sum: float = 0.0
+    rows: int = 0
+    examples: int = 0
+
+    def add(self, probs: np.ndarray, seq: TokenSeq) -> None:
+        rows = probs[: seq.valid_len]
+        targets = seq.target_ids[: seq.valid_len]
+        sel = rows[np.arange(rows.shape[0]), targets]
+        self.nll_sum += -np.log(np.maximum(sel, PROB_FLOOR)).mean()
+        self.hits += int((rows.argmax(axis=-1) == targets).sum())
+        self.entropy_sum += float(_row_entropies(rows).sum())
+        self.rows += rows.shape[0]
+        self.examples += 1
+
+    @property
+    def loss(self) -> float:
+        return self.nll_sum / self.examples
+
+    @property
+    def accuracy(self) -> float:
+        return self.hits / self.rows
+
+    @property
+    def entropy(self) -> float:
+        return self.entropy_sum / self.rows
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -134,46 +167,66 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     return -contrib.sum(axis=-1)
 
 
+def _forward_totals(model, examples) -> _Totals:
+    totals = _Totals()
+    for ex in examples:
+        totals.add(model.forward_probs(ex.seq.input_ids, ex.features), ex.seq)
+    return totals
+
+
+def mean_nll(model, examples) -> float:
+    """Mean over examples of the per-token mean NLL (the training objective)."""
+    return _forward_totals(model, examples).loss
+
+
+def entropy_profile(model, examples) -> float:
+    """Mean output entropy in nats over all unpadded positions."""
+    return _forward_totals(model, examples).entropy
+
+
 def word_accuracy(model, examples) -> float:
     """Fraction of unpadded positions where argmax(probs) is the target.
 
     Ties resolve to the lowest token id, the same rule greedy decoding uses.
     """
-    hits = 0
-    count = 0
-    for ex in examples:
-        probs = _teacher_forced_probs(model, ex)[: ex.seq.valid_len]
-        hits += int((probs.argmax(axis=-1) == ex.seq.target_ids[: ex.seq.valid_len]).sum())
-        count += probs.shape[0]
-    return hits / count
+    return _forward_totals(model, examples).accuracy
 
 
 @dataclass
 class ProbeResult:
+    loss: float
+    accuracy: float
+    entropy: float
     grad_norm_in: float
     grad_norm_out: float
     finite: bool
 
+    def record(self, epoch: int, split: str) -> AnalysisRecord:
+        return AnalysisRecord(epoch, split, **asdict(self))
+
 
 def grad_norm_probe(model, examples) -> ProbeResult:
-    """L2 norms of the teacher-forced NLL gradient at the word-embedding table
-    and at the final output projection, averaged over the probe examples.
+    """The single measurement pass over the probe examples.
 
-    The loss is the same clamped per-token mean the trainer optimizes.
-    Non-finite gradients are reported via the ``finite`` flag rather than
-    raised, so a diverging run still produces a (flagged) record.
+    Each example gets one teacher-forced forward with dropout off and one
+    backward of ``nll_loss``, the clamped per-token mean the trainer
+    optimizes. Loss, word accuracy and entropy come from that forward's
+    probabilities and equal ``mean_nll``, ``word_accuracy`` and
+    ``entropy_profile``. The gradient norms are the L2 norms at the
+    word-embedding table and at the final output projection, averaged over
+    the examples. Non-finite gradients are reported via the ``finite`` flag
+    rather than raised, so a diverging run still produces a (flagged) record.
     """
     params = model.parameters()
+    totals = _Totals()
     norm_in = 0.0
     norm_out = 0.0
     finite = True
     for ex in examples:
         ad.zero_gradients(params)
         probs, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=False)
-        rows = ex.seq.valid_len
-        sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[:rows]), PROB_FLOOR)
-        loss = ad.scale(ad.sum_all(ad.log(sel)), -1.0 / rows)
-        ad.backward(loss)
+        totals.add(probs.data, ex.seq)
+        ad.backward(nll_loss(probs, ex.seq))
         g_in = model.word_embedding.grad
         g_out = model.output_projection.grad
         if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
@@ -182,7 +235,8 @@ def grad_norm_probe(model, examples) -> ProbeResult:
         norm_out += float(np.linalg.norm(g_out))
     ad.zero_gradients(params)
     n = len(examples)
-    return ProbeResult(norm_in / n, norm_out / n, finite)
+    return ProbeResult(totals.loss, totals.accuracy, totals.entropy,
+                       norm_in / n, norm_out / n, finite)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
 from captionkit.checkpoint import load_checkpoint
 from captionkit.data import (
+    CorpusRecord,
     Vocabulary,
     build_vocab,
     decode,
-    encode,
     read_caption_file,
     read_features,
     synth_corpus,
@@ -209,18 +209,12 @@ def _load_dataset(data_dir: str):
         missing = [image_id for image_id, _ in items if image_id not in features]
         if missing:
             raise CliError(f"{split}.tsv references ids without features: {missing[:3]}")
-        splits[split] = items
+        splits[split] = [CorpusRecord(image_id, caption, features[image_id])
+                         for image_id, caption in items]
     with open(paths["features.ccf"], "rb") as fh:
         header = fh.read(20)
     _, f_dim, g_dim, c_dim = np.frombuffer(header[4:], dtype="<u4")
-    return vocab, features, splits, (int(f_dim), int(g_dim), int(c_dim)), paths
-
-
-def _examples_for(items, features, vocab, max_steps):
-    return [
-        training.Example(image_id, encode(caption, vocab, max_steps), features[image_id])
-        for image_id, caption in items
-    ]
+    return vocab, splits, (int(f_dim), int(g_dim), int(c_dim)), paths
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +276,7 @@ def cmd_train(args) -> int:
         print("training on precomputed image features (extractor held fixed)",
               file=sys.stderr)
         manifest.data["notes"] = "image features precomputed; extractor held fixed"
-        vocab, features, splits, (f_dim, g_dim, c_dim), _ = _load_dataset(args.data)
+        vocab, splits, (f_dim, g_dim, c_dim), _ = _load_dataset(args.data)
         init_seed = _get(values, "init_seed", int, None)
         train_config = build_train_config(values)
         model_kind = "lstm" if args.model == "lstm" else args.model
@@ -301,8 +295,8 @@ def cmd_train(args) -> int:
             model = cm.init_params(model_config, init_seed if init_seed is not None else train_config.seed)
 
         max_steps = model_config.max_steps
-        train_examples = _examples_for(splits["train"], features, vocab, max_steps)
-        val_examples = _examples_for(splits["val"], features, vocab, max_steps)
+        train_examples = training.prepare_examples(splits["train"], vocab, max_steps)
+        val_examples = training.prepare_examples(splits["val"], vocab, max_steps)
         result = training.train(
             model, train_examples, val_examples, train_config,
             out_dir=out_dir, vocab=vocab, start_epoch=start_epoch,
@@ -366,20 +360,18 @@ def cmd_eval(args) -> int:
     )
     try:
         loaded = _load_model_checkpoint(args.ckpt)
-        vocab, features, splits, _, _ = _load_dataset(args.data)
-        items = splits[args.split]
+        _, splits, _, _ = _load_dataset(args.data)
         candidates = []
         references = []
         cand_lines = []
         ref_lines = []
-        for image_id, caption in items:
-            ranked = decoding.beam_search(loaded.model, features[image_id],
-                                          beam_size=args.beam)
+        for rec in splits[args.split]:
+            ranked = decoding.beam_search(loaded.model, rec.features, beam_size=args.beam)
             tokens = decode(ranked[0][0].target_ids, loaded.vocab)
             candidates.append(tokens)
-            references.append([caption])
-            cand_lines.append((image_id, tokens))
-            ref_lines.append((image_id, caption))
+            references.append([rec.caption])
+            cand_lines.append((rec.image_id, tokens))
+            ref_lines.append((rec.image_id, rec.caption))
         scores = analysis.bleu(candidates, references)
         bleu_path = os.path.join(out_dir, "bleu.csv")
         with open(bleu_path, "w", encoding="utf-8") as fh:
@@ -399,24 +391,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _analyze_one(loaded, features, splits, vocab, beam, limit, positions):
+def _analyze_one(loaded, splits, vocab, beam, limit, positions):
     model = loaded.model
     records = []
     for split in ("train", "val"):
-        examples = _examples_for(splits[split][:limit], features, vocab,
-                                 model.config.max_steps)
-        probe = analysis.grad_norm_probe(model, examples)
-        records.append(analysis.AnalysisRecord(
-            epoch=loaded.epoch, split=split,
-            loss=analysis.mean_nll(model, examples),
-            accuracy=analysis.word_accuracy(model, examples),
-            entropy=analysis.entropy_profile(model, examples),
-            grad_norm_in=probe.grad_norm_in,
-            grad_norm_out=probe.grad_norm_out,
-        ))
+        examples = training.prepare_examples(splits[split][:limit], vocab,
+                                             model.config.max_steps)
+        records.append(analysis.grad_norm_probe(model, examples).record(loaded.epoch, split))
     beams = [
-        [seq for seq, _ in decoding.beam_search(model, features[image_id], beam_size=beam)]
-        for image_id, _ in splits["val"][:limit]
+        [seq for seq, _ in decoding.beam_search(model, rec.features, beam_size=beam)]
+        for rec in splits["val"][:limit]
     ]
     diversity = analysis.unique_words_per_position(beams, positions=positions)
     return records, diversity
@@ -430,7 +414,7 @@ def cmd_analyze(args) -> int:
         None, {"ckpt": args.ckpt, "ckpt2": args.ckpt2, "data": args.data},
     )
     try:
-        vocab, features, splits, _, _ = _load_dataset(args.data)
+        vocab, splits, _, _ = _load_dataset(args.data)
         loaded = [_load_model_checkpoint(args.ckpt)]
         if args.ckpt2:
             loaded.append(_load_model_checkpoint(args.ckpt2))
@@ -443,7 +427,7 @@ def cmd_analyze(args) -> int:
         results = []
         for ckpt in loaded:
             records, diversity = _analyze_one(
-                ckpt, features, splits, vocab, args.beam, args.limit, args.positions
+                ckpt, splits, vocab, args.beam, args.limit, args.positions
             )
             results.append((ckpt, records, diversity))
             prefix = ckpt.kind

@@ -16,7 +16,7 @@ import numpy as np
 
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
-from captionkit.data import ImageFeatures, InvalidFeatureError, TokenSeq
+from captionkit.data import ImageFeatures, InvalidFeatureError
 
 
 class MissingFeatureError(ValueError):
@@ -247,15 +247,3 @@ def attend(d_j: Tensor, spatial: Tensor, w: Tensor):
     """
     context, amap = _attend_rows(d_j, spatial, w)
     return context, amap
-
-
-def forward_teacher_forced(
-    model: CaptionModel,
-    inputs,
-    features: ImageFeatures,
-    train_mode: bool = False,
-    seed: int = 0,
-):
-    """Forward over a ground-truth input view (TokenSeq or raw id sequence)."""
-    ids = inputs.input_ids if isinstance(inputs, TokenSeq) else inputs
-    return model.forward(ids, features, train_mode=train_mode, seed=seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
-from captionkit.data import ImageFeatures, InvalidFeatureError, TokenSeq
+from captionkit.data import ImageFeatures, InvalidFeatureError
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,3 @@ class LstmModel:
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         probs, _ = self.forward(ids, features, train_mode=False)
         return probs.data
-
-
-def lstm_step(model: LstmModel, state: LstmState, token_id: int):
-    return model.step(state, token_id)
-
-
-def forward_teacher_forced(model: LstmModel, inputs, features: ImageFeatures):
-    ids = inputs.input_ids if isinstance(inputs, TokenSeq) else inputs
-    return model.forward(ids, features)

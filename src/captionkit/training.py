@@ -14,11 +14,10 @@ import numpy as np
 
 from captionkit import analysis
 from captionkit import autodiff as ad
+from captionkit.analysis import LossStats, nll_loss
 from captionkit.autodiff import Tensor
 from captionkit.checkpoint import save_checkpoint
 from captionkit.data import EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode
-
-PROB_FLOOR = 1e-12
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -59,29 +58,6 @@ def lr_for_epoch(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * config.decay_factor ** (epoch // config.decay_period)
 
 
-@dataclass
-class LossStats:
-    clamped: int = 0
-
-
-def nll_loss(probs: Tensor, target: TokenSeq, reduction: str = "mean",
-             stats: LossStats | None = None) -> Tensor:
-    """Negative log-likelihood of the unpadded target positions.
-
-    Probabilities below 1e-12 (in particular exact zeros) are clamped there,
-    and each such event bumps ``stats.clamped`` when a stats object is given.
-    ``mean`` divides by the number of unpadded positions; ``sum`` does not.
-    """
-    rows = target.valid_len
-    if probs.data.shape[0] < rows:
-        raise ad.ShapeError(f"{probs.data.shape[0]} probability rows for {rows} target positions")
-    sel = ad.pick(probs, target.target_ids[:rows])
-    if stats is not None:
-        stats.clamped += int(np.count_nonzero(sel.data < PROB_FLOOR))
-    total = ad.sum_all(ad.log(ad.clamp_min(sel, PROB_FLOOR)))
-    return ad.scale(total, -1.0 / rows if reduction == "mean" else -1.0)
-
-
 class RmsProp:
     """v <- alpha*v + (1-alpha)*g^2 ; theta <- theta - lr*g/(sqrt(v)+eps)."""
 
@@ -94,12 +70,13 @@ class RmsProp:
         self.current_lr: float | None = None
 
     def step(self, lr: float) -> None:
-        for name, t in self.params.items():
-            g = t.grad
-            if g is None:
-                continue
+        """Apply one update; a non-finite gradient anywhere aborts it before
+        any parameter, accumulator or the step count changes."""
+        live = [(name, t, t.grad) for name, t in self.params.items() if t.grad is not None]
+        for name, _, g in live:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
+        for name, t, g in live:
             v = self.accum[name]
             v *= self.alpha
             v += (1.0 - self.alpha) * g * g
@@ -191,13 +168,13 @@ def train(
             ad.backward(batch_loss)
             optimizer.step(lr)
 
-        records = [_measure(model, train_probe, "train", epoch)]
+        records = [analysis.grad_norm_probe(model, train_probe).record(epoch, "train")]
         evaluate = val_examples and (
             (epoch - start_epoch + 1) % config.eval_cadence == 0
             or epoch == start_epoch + config.epochs - 1
         )
         if evaluate:
-            val_record = _measure(model, val_probe, "val", epoch)
+            val_record = analysis.grad_norm_probe(model, val_probe).record(epoch, "val")
             records.append(val_record)
             if val_record.loss < result.best_val_loss:
                 result.best_val_loss = val_record.loss
@@ -217,21 +194,11 @@ def train(
         if log is not None:
             head = records[0]
             tail = records[-1]
+            non_finite = [r.split for r in records if not r.finite]
             log(
                 f"epoch {epoch:4d} lr {lr:.3g} train_loss {head.loss:.4f}"
                 + (f" val_loss {tail.loss:.4f} val_acc {tail.accuracy:.3f}" if len(records) > 1 else "")
+                + (f" NON-FINITE probe gradient ({', '.join(non_finite)})" if non_finite else "")
             )
     return result
 
-
-def _measure(model, examples, split: str, epoch: int) -> analysis.AnalysisRecord:
-    probe = analysis.grad_norm_probe(model, examples)
-    return analysis.AnalysisRecord(
-        epoch=epoch,
-        split=split,
-        loss=analysis.mean_nll(model, examples),
-        accuracy=analysis.word_accuracy(model, examples),
-        entropy=analysis.entropy_profile(model, examples),
-        grad_norm_in=probe.grad_norm_in,
-        grad_norm_out=probe.grad_norm_out,
-    )

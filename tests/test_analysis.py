@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from captionkit import analysis
+from captionkit import autodiff as ad
 from captionkit import convmodel as cm
-from captionkit.data import END_ID, ImageFeatures, TokenSeq, build_vocab, encode
-from captionkit.training import Example, prepare_examples
+from captionkit import lstmmodel as lm
+from captionkit.data import END_ID, ImageFeatures, TokenSeq, build_vocab, encode, synth_corpus
+from captionkit.training import Example, TrainConfig, prepare_examples, train
 
 
 class TestBleu:
@@ -224,6 +226,75 @@ class TestGradNormProbe:
             tensor = model.params[name]
             fd = finite_difference(ref, [tensor.data])[0]
             assert_grads_close(tensor.grad, fd, rtol=1e-4, atol=1e-8)
+
+
+def _probe_setup(kind):
+    records, vocab = synth_corpus(6, seed=3, grid_size=2, spatial_channels=8)
+    if kind == "lstm":
+        model = lm.init_params(lm.LstmConfig(vocab.size, embed_dim=6, hidden_dim=8,
+                                             max_steps=8, feature_dim=96), seed=2)
+    else:
+        model = cm.init_params(cm.ModelConfig(
+            vocab_size=vocab.size, embed_dim=6, hidden_dim=8, num_layers=3,
+            kernel_widths=(2, 3, 3), bottleneck_dim=5, max_steps=8, feature_dim=96,
+            dropout_p=0.2, weight_norm=True, residual=True, attention=True,
+            grid_size=2, spatial_channels=8,
+        ), seed=2)
+    rng = np.random.default_rng(4)
+    for t in model.params.values():
+        t.data += rng.normal(scale=0.3, size=t.data.shape)
+    return model, prepare_examples(records, vocab, 8)
+
+
+class TestMeasurementPass:
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_matches_forward_only_metrics_and_explicit_backward(self, kind):
+        model, examples = _probe_setup(kind)
+        probe = analysis.grad_norm_probe(model, examples)
+        assert probe.loss == analysis.mean_nll(model, examples)
+        assert probe.accuracy == analysis.word_accuracy(model, examples)
+        assert probe.entropy == analysis.entropy_profile(model, examples)
+
+        norm_in = 0.0
+        norm_out = 0.0
+        for ex in examples:
+            ad.zero_gradients(model.params)
+            probs, _ = model.forward(ex.seq.input_ids, ex.features)
+            rows = ex.seq.valid_len
+            sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[:rows]), 1e-12)
+            ad.backward(ad.scale(ad.sum_all(ad.log(sel)), -1.0 / rows))
+            norm_in += float(np.linalg.norm(model.word_embedding.grad))
+            norm_out += float(np.linalg.norm(model.output_projection.grad))
+        assert probe.grad_norm_in == norm_in / len(examples)
+        assert probe.grad_norm_out == norm_out / len(examples)
+        assert probe.finite
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_one_forward_and_one_backward_per_probe_example(self, kind, monkeypatch):
+        model, examples = _probe_setup(kind)
+        calls = {"forward": 0, "backward": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "forward", counting("forward", model.forward))
+        monkeypatch.setattr(ad, "backward", counting("backward", ad.backward))
+        train(model, examples[:4], examples[4:], TrainConfig(epochs=1, batch_size=2, probe_size=3))
+        # Updates: 4 forwards, 2 batch backwards. Probes: 3 train and 2 val examples.
+        assert calls == {"forward": 4 + 3 + 2, "backward": 2 + 3 + 2}
+
+    def test_record_carries_every_field(self):
+        model, examples = _probe_setup("lstm")
+        probe = analysis.grad_norm_probe(model, examples)
+        record = probe.record(5, "val")
+        assert (record.epoch, record.split) == (5, "val")
+        assert (record.loss, record.accuracy, record.entropy) == (
+            probe.loss, probe.accuracy, probe.entropy)
+        assert (record.grad_norm_in, record.grad_norm_out, record.finite) == (
+            probe.grad_norm_in, probe.grad_norm_out, True)
 
 
 class TestUniqueWordsPerPosition:

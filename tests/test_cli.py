@@ -142,6 +142,14 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
+    def test_empty_caption_fails(self, tmp_path, capsys):
+        data_dir = make_data(tmp_path)
+        with open(data_dir / "val.tsv", "a", encoding="utf-8") as fh:
+            fh.write("scene00000\t\n")
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", write_cfg(tmp_path), "--out", tmp_path / "run"]) == 1
+        assert "record scene00000 has an empty caption" in capsys.readouterr().err
+
     def test_resume_config_mismatch_fails(self, tmp_path, capsys):
         data_dir = make_data(tmp_path)
         out = tmp_path / "run"

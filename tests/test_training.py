@@ -8,7 +8,7 @@ from captionkit import lstmmodel as lm
 from captionkit import training as tr
 from captionkit.autodiff import Tensor
 from captionkit.checkpoint import CheckpointMismatchError, load_checkpoint, save_checkpoint
-from captionkit.data import TokenSeq, synth_corpus
+from captionkit.data import UNK_ID, TokenSeq, synth_corpus
 
 
 def synth_setup(n=12, seed=0, **model_overrides):
@@ -120,6 +120,18 @@ class TestRmsProp:
         opt.step(0.1)
         assert p.data[0] == 1.0
 
+    def test_non_finite_gradient_aborts_before_any_update(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0]), requires_grad=True)
+        a.grad = np.array([1.0])
+        b.grad = np.array([np.nan])
+        opt = tr.RmsProp({"a": a, "b": b})
+        with pytest.raises(tr.NonFiniteGradientError, match="'b'"):
+            opt.step(1e-3)
+        assert a.data[0] == 1.0
+        assert opt.accum["a"][0] == 0.0
+        assert opt.steps == 0
+
 
 class TestTrainLoop:
     def test_same_seed_bit_identical_curves(self):
@@ -186,6 +198,23 @@ class TestTrainLoop:
         tr.train(model, examples[:8], examples[8:], cfg, start_epoch=15,
                  log=lambda line: seen.append(line))
         assert "lr 5e-06" in seen[0]
+
+    def test_non_finite_probe_is_flagged(self):
+        # The <UNK> embedding row is NaN and only the validation captions
+        # contain an unknown word: training stays finite, the val probe not.
+        model, examples, _ = synth_setup()
+        model.word_embedding.data[UNK_ID] = np.nan
+        val = [tr.Example(ex.image_id, TokenSeq.from_token_ids([UNK_ID, 4], 8), ex.features)
+               for ex in examples[8:]]
+        seen = []
+        result = tr.train(model, examples[:8], val, tr.TrainConfig(epochs=1, probe_size=4),
+                          log=seen.append)
+        train_record, val_record = result.history
+        assert train_record.finite
+        assert not val_record.finite
+        assert seen[0].endswith("NON-FINITE probe gradient (val)")
+        header = tr.analysis.METRICS_CSV_HEADER
+        assert val_record.csv_row().count(",") == header.count(",")
 
 
 class TestCheckpointRoundTrip:
