@@ -111,22 +111,36 @@ class LossStats:
     clamped: int = 0
 
 
-def nll_loss(probs: Tensor, target: TokenSeq, reduction: str = "mean",
+def nll_loss(probs: Tensor, target, reduction: str = "mean",
              stats: LossStats | None = None) -> Tensor:
     """Negative log-likelihood of the unpadded target positions.
 
+    ``probs`` is [T, V] for one example with ``target`` its TokenSeq, or
+    [B, T, V] for a batch with ``target`` a list of B TokenSeqs; the loss of
+    a batch is the mean over its examples of each example's loss.
     Probabilities below 1e-12 (in particular exact zeros) are clamped there,
-    and each such event bumps ``stats.clamped`` when a stats object is given.
-    ``mean`` divides by the number of unpadded positions; ``sum`` does not.
+    and each such event in an unpadded position bumps ``stats.clamped`` when
+    a stats object is given. ``mean`` divides an example's sum by its number
+    of unpadded positions; ``sum`` does not.
     """
-    rows = target.valid_len
-    if probs.data.shape[0] < rows:
-        raise ad.ShapeError(f"{probs.data.shape[0]} probability rows for {rows} target positions")
-    sel = ad.pick(probs, target.target_ids[:rows])
+    single = isinstance(target, TokenSeq)
+    seqs = [target] if single else list(target)
+    if probs.data.ndim != (2 if single else 3) or not (single or probs.data.shape[0] == len(seqs)):
+        raise ad.ShapeError(f"probabilities {probs.data.shape} for {len(seqs)} target sequence(s)")
+    lengths = np.array([seq.valid_len for seq in seqs])
+    rows = int(lengths.max())
+    if probs.data.shape[-2] < rows:
+        raise ad.ShapeError(f"{probs.data.shape[-2]} probability rows for {rows} target positions")
+    ids = np.stack([seq.target_ids[:rows] for seq in seqs])
+    valid = np.arange(rows) < lengths[:, None]
+    per_example = -1.0 / lengths if reduction == "mean" else np.full(len(seqs), -1.0)
+    weights = np.where(valid, per_example[:, None] * (1.0 / len(seqs)), 0.0)
+    if single:
+        ids, valid, weights = ids[0], valid[0], weights[0]
+    sel = ad.pick(probs, ids)
     if stats is not None:
-        stats.clamped += int(np.count_nonzero(sel.data < PROB_FLOOR))
-    total = ad.sum_all(ad.log(ad.clamp_min(sel, PROB_FLOOR)))
-    return ad.scale(total, -1.0 / rows if reduction == "mean" else -1.0)
+        stats.clamped += int(np.count_nonzero((sel.data < PROB_FLOOR) & valid))
+    return ad.sum_all(ad.mul(ad.log(ad.clamp_min(sel, PROB_FLOOR)), Tensor(weights)))
 
 
 @dataclass

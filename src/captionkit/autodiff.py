@@ -43,6 +43,7 @@ __all__ = [
     "dropout",
     "embedding_lookup",
     "concat",
+    "stack",
     "slice_cols",
     "tile_rows",
     "transpose",
@@ -195,27 +196,45 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+    """``a`` [..., T, C] times a shared ``b`` [C, D], or a batched product
+    [B, T, C] @ [B, C, D]. A batch times a shared ``b`` runs as one
+    [B*T, C] @ [C, D] product, and its ``b`` gradient sums over the batch."""
+    x, w = a.data, b.data
+    if x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0]:
+        def bw(g, emit):
+            emit(a, g @ w.T)
+            emit(b, x.T @ g)
 
-    def bw(g, emit):
-        emit(a, g @ b.data.T)
-        emit(b, a.data.T @ g)
+        return _node(x @ w, (a, b), bw)
+    if x.ndim == 3 and w.ndim == 2 and x.shape[2] == w.shape[0]:
+        rows = x.reshape(-1, w.shape[0])
 
-    return _node(a.data @ b.data, (a, b), bw)
+        def bw(g, emit):
+            g_rows = g.reshape(-1, w.shape[1])
+            emit(a, (g_rows @ w.T).reshape(x.shape))
+            emit(b, rows.T @ g_rows)
+
+        return _node((rows @ w).reshape(x.shape[:2] + w.shape[1:]), (a, b), bw)
+    if x.ndim == 3 and w.ndim == 3 and x.shape[0] == w.shape[0] and x.shape[2] == w.shape[1]:
+        def bw(g, emit):
+            emit(a, g @ w.swapaxes(1, 2))
+            emit(b, x.swapaxes(1, 2) @ g)
+
+        return _node(x @ w, (a, b), bw)
+    raise ShapeError(f"matmul: incompatible shapes {x.shape} and {w.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a 1-d ``b`` broadcasts across the rows of a 2-d ``a``."""
+    """Elementwise sum; a 1-d ``b`` broadcasts over the last axis of ``a``."""
     if a.data.shape == b.data.shape:
         def bw(g, emit):
             emit(a, g)
             emit(b, g)
         return _node(a.data + b.data, (a, b), bw)
-    if a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
+    if a.data.ndim >= 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[-1]:
         def bw(g, emit):
             emit(a, g)
-            emit(b, g.sum(axis=0))
+            emit(b, g.sum(axis=tuple(range(g.ndim - 1))))
         return _node(a.data + b.data, (a, b), bw)
     raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
@@ -330,37 +349,56 @@ def glu(a: Tensor) -> Tensor:
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over the time axis that only looks backward.
 
-    ``x`` is [T, Cin], ``kernel`` is [K, Cin, Cout], ``bias`` is [Cout]. The
-    input is implicitly left-padded with K-1 zero rows, so output row t is a
-    function of input rows t-K+1 .. t only.
+    ``x`` is [T, Cin] or a batch [B, T, Cin], ``kernel`` is [K, Cin, Cout],
+    ``bias`` is [Cout]. Each sequence is implicitly left-padded with K-1 zero
+    rows, so output row t is a function of input rows t-K+1 .. t only.
+
+    A batch is laid out as one long sequence of its padded examples, so each
+    kernel tap is a single [rows, Cin] @ [Cin, Cout] product; the K-1 rows
+    whose windows straddle two examples are computed and then skipped.
     """
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
+    if x.data.ndim not in (2, 3) or kernel.data.ndim != 3:
         raise ShapeError(
-            f"causal_conv1d: expected [T,Cin] and [K,Cin,Cout], got {x.data.shape} and {kernel.data.shape}"
+            f"causal_conv1d: expected [T,Cin] or [B,T,Cin] and [K,Cin,Cout], "
+            f"got {x.data.shape} and {kernel.data.shape}"
         )
     K, cin, cout = kernel.data.shape
-    if x.data.shape[1] != cin:
+    if x.data.shape[-1] != cin:
         raise ShapeError(
             f"causal_conv1d: channel mismatch, input {x.data.shape} vs kernel {kernel.data.shape}"
         )
     if bias.data.shape != (cout,):
         raise ShapeError(f"causal_conv1d: bias shape {bias.data.shape}, expected ({cout},)")
-    T = x.data.shape[0]
-    xp = np.vstack([np.zeros((K - 1, cin)), x.data]) if K > 1 else x.data
-    out = np.tile(bias.data, (T, 1))
+    lead, T = x.data.shape[:-2], x.data.shape[-2]
+    padded = T + K - 1
+    xp = np.concatenate([np.zeros(lead + (K - 1, cin)), x.data], axis=-2) if K > 1 else x.data
+    flat = xp.reshape(-1, cin) if lead else xp
+    n = flat.shape[0] - (K - 1)  # windows that fit in the flat layout
+    out = np.tile(bias.data, (n, 1))
     for k in range(K):
-        out += xp[k:k + T] @ kernel.data[k]
+        out += flat[k:k + n] @ kernel.data[k]
+    if lead:
+        # Row b*padded + t of the flat result is position t of example b.
+        out = np.lib.stride_tricks.as_strided(
+            out, lead + (T, cout), (padded * out.strides[0],) + out.strides)
 
     def bw(g, emit):
-        emit(bias, g.sum(axis=0))
+        emit(bias, g.reshape(-1, cout).sum(axis=0))
+        if lead:
+            g_flat = np.zeros(lead + (padded, cout))
+            g_flat[:, :T] = g
+            g_flat = g_flat.reshape(-1, cout)[:n]
+        else:
+            g_flat = g
         dk = np.empty_like(kernel.data)
         for k in range(K):
-            dk[k] = xp[k:k + T].T @ g
+            dk[k] = flat[k:k + n].T @ g_flat
         emit(kernel, dk)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros_like(flat)
         for k in range(K):
-            dxp[k:k + T] += g @ kernel.data[k].T
-        emit(x, dxp[K - 1:] if K > 1 else dxp)
+            dxp[k:k + n] += g_flat @ kernel.data[k].T
+        dxp = dxp.reshape(xp.shape)
+        emit(x, dxp[..., K - 1:, :] if K > 1 else dxp)
 
     return _node(out, (x, kernel, bias), bw)
 
@@ -393,15 +431,22 @@ def dropout(x: Tensor, p: float, rng, train_mode: bool) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by 1/(1-p).
 
     Identity when not training or p == 0. ``rng`` is an integer seed or a
-    numpy Generator; a fixed seed gives a bit-reproducible mask.
+    numpy Generator; a fixed seed gives a bit-reproducible mask. For a batch,
+    ``rng`` is a list with one seed or Generator per example (the leading
+    axis of ``x``), and each example's mask is drawn from its own stream with
+    the shape ``x.shape[1:]`` that the example alone would have.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train_mode or p == 0.0:
         return x
-    gen = as_generator(rng)
-    keep = gen.random(x.data.shape) >= p
-    factor = keep / (1.0 - p)
+    if isinstance(rng, list):
+        if len(rng) != x.data.shape[0]:
+            raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
+        draws = np.stack([as_generator(r).random(x.data.shape[1:]) for r in rng])
+    else:
+        draws = as_generator(rng).random(x.data.shape)
+    factor = (draws >= p) / (1.0 - p)
 
     def bw(g, emit):
         emit(x, g * factor)
@@ -439,6 +484,17 @@ def concat(parts, axis: int = 1) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
 
 
+def stack(parts, axis: int = 0) -> Tensor:
+    """Join equal-shape tensors along a new axis."""
+    parts = tuple(parts)
+
+    def bw(g, emit):
+        for i, p in enumerate(parts):
+            emit(p, np.take(g, i, axis=axis))
+
+    return _node(np.stack([p.data for p in parts], axis=axis), parts, bw)
+
+
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def bw(g, emit):
         dx = np.zeros_like(x.data)
@@ -449,20 +505,22 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def tile_rows(x: Tensor, n: int) -> Tensor:
-    """Repeat a single row (shape [D] or [1, D]) n times into [n, D]."""
-    row = x.data.reshape(1, -1)
+    """Repeat a single row n times: [D] or [1, D] into [n, D], and a batch of
+    rows [B, 1, D] into [B, n, D]."""
+    row = x.data if x.data.ndim == 3 else x.data.reshape(1, -1)
 
     def bw(g, emit):
-        emit(x, g.sum(axis=0).reshape(x.data.shape))
+        emit(x, g.sum(axis=-2).reshape(x.data.shape))
 
-    return _node(np.repeat(row, n, axis=0), (x,), bw)
+    return _node(np.repeat(row, n, axis=-2), (x,), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes."""
     def bw(g, emit):
-        emit(x, g.T)
+        emit(x, g.swapaxes(-1, -2))
 
-    return _node(x.data.T, (x,), bw)
+    return _node(x.data.swapaxes(-1, -2), (x,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -473,14 +531,17 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def pick(probs: Tensor, col_ids) -> Tensor:
-    """probs[i, col_ids[i]] for i over the first len(col_ids) rows."""
+    """probs[i, col_ids[i]] for i over the first len(col_ids) rows; for a
+    batch [B, T, V] with ids [B, T'], probs[b, i, col_ids[b, i]] over the
+    first T' rows of each example."""
     col_ids = np.asarray(col_ids, dtype=np.int64)
-    n = col_ids.shape[0]
-    rows = np.arange(n)
+    index = (np.arange(col_ids.shape[-1]), col_ids)
+    if col_ids.ndim == 2:
+        index = (np.arange(col_ids.shape[0])[:, None],) + index
 
     def bw(g, emit):
         dp = np.zeros_like(probs.data)
-        dp[rows, col_ids] = g
+        dp[index] = g
         emit(probs, dp)
 
-    return _node(probs.data[rows, col_ids], (probs,), bw)
+    return _node(probs.data[index], (probs,), bw)

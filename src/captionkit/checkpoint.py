@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
+from captionkit import convmodel as cm
+from captionkit import lstmmodel as lm
 from captionkit.autodiff import Tensor
 from captionkit.convmodel import CaptionModel, ModelConfig
 from captionkit.data import Vocabulary
@@ -76,15 +78,34 @@ def _rebuild(kind: str, config: dict):
 
 
 def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
+    """Read a checkpoint; a malformed or truncated file raises CheckpointError
+    naming the byte offset where it went wrong."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
+        raise CheckpointError(f"{path}: bad magic {blob[:4]!r} at offset 0")
+    if len(blob) < 12:
+        raise CheckpointError(f"{path}: truncated at offset {len(blob)}, inside the 12-byte prefix")
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-    config = _rebuild(header["kind"], header["config"])
+        raise CheckpointError(f"{path}: unsupported version {version} at offset 4")
+    if 12 + header_len > len(blob):
+        raise CheckpointError(
+            f"{path}: truncated at offset {len(blob)}, inside the {header_len}-byte header")
+    try:
+        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+        kind, seed, epoch = header["kind"], header["seed"], header["epoch"]
+        config = _rebuild(kind, header["config"])
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        vocab = Vocabulary(header["vocab"]) if header["vocab"] else None
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        offset = 12 + getattr(exc, "pos", getattr(exc, "start", 0))
+        raise CheckpointError(
+            f"{path}: malformed header at offset {offset}: {type(exc).__name__}: {exc}"
+        ) from exc
+    shapes = (cm.parameter_shapes if kind == "cnn" else lm.parameter_shapes)(config)
+    if entries != list(shapes.items()):
+        raise CheckpointError(f"{path}: parameter table at offset 12 does not match the config")
 
     if expect_config is not None and config != expect_config:
         stored = header["config"]
@@ -97,24 +118,18 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
 
     pos = 12 + header_len
     params: dict[str, Tensor] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = pos + 8 * count
+    for name, shape in entries:
+        end = pos + 8 * int(np.prod(shape))
         if end > len(blob):
-            raise CheckpointError(f"{path}: truncated parameter {entry['name']}")
+            raise CheckpointError(f"{path}: truncated at offset {len(blob)}, inside parameter {name}")
         arr = np.frombuffer(blob[pos:end], dtype="<f8").astype(np.float64).reshape(shape)
-        params[entry["name"]] = Tensor(arr, requires_grad=True)
+        params[name] = Tensor(arr, requires_grad=True)
         pos = end
     if pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")
+        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes at offset {pos}")
 
-    model_cls = CaptionModel if header["kind"] == "cnn" else LstmModel
-    model = model_cls(config, params)
-    vocab = Vocabulary(header["vocab"]) if header["vocab"] else None
-    return LoadedCheckpoint(
-        kind=header["kind"], model=model, seed=header["seed"], epoch=header["epoch"], vocab=vocab
-    )
+    model = (CaptionModel if kind == "cnn" else LstmModel)(config, params)
+    return LoadedCheckpoint(kind=kind, model=model, seed=seed, epoch=epoch, vocab=vocab)
 
 
 def _norm(value):

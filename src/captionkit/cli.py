@@ -21,8 +21,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from captionkit import analysis, decoding, training
 from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
@@ -203,6 +201,10 @@ def _load_dataset(data_dir: str):
             raise CliError(f"data directory {data_dir} is missing {name}")
     vocab = Vocabulary.from_file(paths["vocab.txt"])
     features = read_features(paths["features.ccf"])
+    if not features:
+        raise CliError(f"{paths['features.ccf']} holds no images")
+    first = next(iter(features.values()))
+    g_dim, _, c_dim = first.spatial.shape if first.spatial is not None else (0, 0, 0)
     splits = {}
     for split in ("train", "val"):
         items = read_caption_file(paths[f"{split}.tsv"])
@@ -211,10 +213,7 @@ def _load_dataset(data_dir: str):
             raise CliError(f"{split}.tsv references ids without features: {missing[:3]}")
         splits[split] = [CorpusRecord(image_id, caption, features[image_id])
                          for image_id, caption in items]
-    with open(paths["features.ccf"], "rb") as fh:
-        header = fh.read(20)
-    _, f_dim, g_dim, c_dim = np.frombuffer(header[4:], dtype="<u4")
-    return vocab, splits, (int(f_dim), int(g_dim), int(c_dim)), paths
+    return vocab, splits, (first.global_vec.shape[0], g_dim, c_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def cmd_train(args) -> int:
         print("training on precomputed image features (extractor held fixed)",
               file=sys.stderr)
         manifest.data["notes"] = "image features precomputed; extractor held fixed"
-        vocab, splits, (f_dim, g_dim, c_dim), _ = _load_dataset(args.data)
+        vocab, splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
         init_seed = _get(values, "init_seed", int, None)
         train_config = build_train_config(values)
         model_kind = "lstm" if args.model == "lstm" else args.model
@@ -360,7 +359,7 @@ def cmd_eval(args) -> int:
     )
     try:
         loaded = _load_model_checkpoint(args.ckpt)
-        _, splits, _, _ = _load_dataset(args.data)
+        _, splits, _ = _load_dataset(args.data)
         candidates = []
         references = []
         cand_lines = []
@@ -414,7 +413,7 @@ def cmd_analyze(args) -> int:
         None, {"ckpt": args.ckpt, "ckpt2": args.ckpt2, "data": args.data},
     )
     try:
-        vocab, splits, _, _ = _load_dataset(args.data)
+        vocab, splits, _ = _load_dataset(args.data)
         loaded = [_load_model_checkpoint(args.ckpt)]
         if args.ckpt2:
             loaded.append(_load_model_checkpoint(args.ckpt2))

@@ -16,7 +16,8 @@ import numpy as np
 
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
-from captionkit.data import ImageFeatures, InvalidFeatureError
+from captionkit.data import ImageFeatures, global_rows, model_ids
+from captionkit.data import InvalidFeatureError  # noqa: F401 -- part of this module's API
 
 
 class MissingFeatureError(ValueError):
@@ -98,9 +99,14 @@ def _layer_shapes(config: ModelConfig):
     yield "output_b", (v,), 0.0
 
 
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in creation order."""
+    return {name: shape for name, shape, _ in _layer_shapes(config)}
+
+
 def parameter_count(config: ModelConfig) -> int:
     """Total scalar parameters implied by a configuration."""
-    return sum(int(np.prod(shape)) for _, shape, _ in _layer_shapes(config))
+    return sum(int(np.prod(shape)) for shape in parameter_shapes(config).values())
 
 
 def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
@@ -126,7 +132,8 @@ def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
 class DecoderState:
     """Per-layer diagnostics from one forward pass: post-GLU activations
     (the per-word embeddings attention keys off) and, when attention is
-    enabled, the [T, G*G] attention map of each layer."""
+    enabled, the [T, G*G] attention map of each layer (with a leading batch
+    axis for a batch forward)."""
 
     layer_activations: list[np.ndarray] = field(default_factory=list)
     attention_maps: list[np.ndarray] = field(default_factory=list)
@@ -160,47 +167,55 @@ class CaptionModel:
             return ad.weight_norm(self.params[f"conv{layer}_v"], self.params[f"conv{layer}_g"])
         return self.params[f"conv{layer}_kernel"]
 
-    def embed_image(self, features: ImageFeatures, train_mode: bool = False, rng=0) -> Tensor:
-        """dropout -> relu -> linear on the global feature vector; [1, D]."""
-        vec = features.global_vec
-        if vec.shape[0] != self.config.feature_dim:
-            raise ad.ShapeError(
-                f"global feature dim {vec.shape[0]} != configured {self.config.feature_dim}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise InvalidFeatureError("global feature contains non-finite values")
-        x = Tensor(vec.reshape(1, -1))
+    def embed_image(self, features, train_mode: bool = False, rng=0) -> Tensor:
+        """dropout -> relu -> linear on the global feature vector: [1, D] for
+        one ImageFeatures, [B, 1, D] for a list of B (``rng`` is then a list
+        of B generators)."""
+        rows = global_rows(features, self.config.feature_dim)
+        x = Tensor(rows if isinstance(features, ImageFeatures) else rows[:, None, :])
         x = ad.dropout(x, self.config.dropout_p, rng, train_mode)
         return ad.add(ad.matmul(ad.relu(x), self.params["image_w"]), self.params["image_b"])
 
-    def forward(self, ids, features: ImageFeatures, train_mode: bool = False, seed: int = 0):
-        """Probabilities for every position of an input-view id sequence.
+    def forward(self, ids, features, train_mode: bool = False, seed=0):
+        """Probabilities for every position of input-view id sequences.
 
-        ``ids`` is the start-token-prefixed view; row i of the result is the
-        distribution over the token at position i+1 given tokens <= i and the
-        image. Returns (probs Tensor [T, vocab], DecoderState).
+        ``ids`` is the start-token-prefixed view: one sequence [T] with its
+        ImageFeatures and an integer dropout ``seed``, or a batch [B, T] with
+        a list of B ImageFeatures and a list of B seeds. Each example of a
+        batch draws its dropout masks from its own seed, exactly as it would
+        alone. Row i of an example's result is the distribution over the
+        token at position i+1 given tokens <= i and the image. Returns
+        (probs Tensor [T, vocab] or [B, T, vocab], DecoderState).
         """
         cfg = self.config
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ad.ShapeError(f"ids must be a non-empty 1-d sequence, got shape {ids.shape}")
-        rng = ad.as_generator(seed)
-        steps = ids.shape[0]
+        ids = model_ids(ids, features)
+        single = ids.ndim == 1
+        if single:
+            rng = ad.as_generator(seed)
+        elif not train_mode or cfg.dropout_p == 0.0:
+            rng = None  # dropout is the identity and draws nothing
+        elif np.ndim(seed) != 1 or len(seed) != ids.shape[0]:
+            raise ValueError(f"a batch of {ids.shape[0]} needs one dropout seed per example")
+        else:
+            rng = [ad.as_generator(s) for s in seed]
+        steps = ids.shape[-1]
 
         spatial = None
         if cfg.attention:
-            if features.spatial is None:
+            batch = [features] if single else features
+            if any(f.spatial is None for f in batch):
                 raise MissingFeatureError("attention model needs spatial features")
-            spatial = Tensor(features.spatial_flat())
-            if spatial.data.shape != (cfg.grid_size**2, cfg.spatial_channels):
+            grids = [f.spatial_flat() for f in batch]
+            spatial = Tensor(grids[0] if single else np.stack(grids))
+            if spatial.data.shape[-2:] != (cfg.grid_size**2, cfg.spatial_channels):
                 raise ad.ShapeError(
-                    f"spatial grid {features.spatial.shape} does not match configured "
+                    f"spatial grid {batch[0].spatial.shape} does not match configured "
                     f"({cfg.grid_size}, {cfg.grid_size}, {cfg.spatial_channels})"
                 )
 
         words = ad.embedding_lookup(self.params["word_embedding"], ids)
         image = self.embed_image(features, train_mode, rng)
-        h = ad.concat((words, ad.tile_rows(image, steps)), axis=1)
+        h = ad.concat((words, ad.tile_rows(image, steps)), axis=-1)
 
         state = DecoderState()
         for layer in range(cfg.num_layers):
@@ -228,7 +243,8 @@ class CaptionModel:
 
 
 def _attend_rows(d: Tensor, spatial: Tensor, w: Tensor):
-    """Attention for all rows of d at once.
+    """Attention for all rows of d at once; d [T, H] with spatial [G*G, C],
+    or a batch d [B, T, H] with spatial [B, G*G, C].
 
     scores[j, i] = (w^T d_j) . c_i over the G*G locations i; rows are
     softmax-normalized and the context is the score-weighted sum of the

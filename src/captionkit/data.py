@@ -15,12 +15,15 @@ File formats owned by this module:
 
 from __future__ import annotations
 
+import io
 import string
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from captionkit.autodiff import ShapeError
 
 START_TOKEN = "<S>"
 END_TOKEN = "<E>"
@@ -46,6 +49,17 @@ class InvalidFeatureError(ValueError):
 
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+
+def _text_lines(path) -> io.StringIO:
+    """The lines of a UTF-8 text file, split as ``open(path)`` splits them;
+    an undecodable byte raises FormatError with its offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
 
 
 def tokenize(text: str) -> list[str]:
@@ -90,10 +104,11 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        tokens = [line.rstrip("\n") for line in _text_lines(path) if line.rstrip("\n")]
         if tuple(tokens[:3]) != RESERVED:
             raise FormatError(f"vocabulary file {path} does not start with the reserved tokens")
+        if len(set(tokens)) != len(tokens):
+            raise FormatError(f"vocabulary file {path} lists a token twice")
         return cls(tokens)
 
 
@@ -204,6 +219,36 @@ class ImageFeatures:
         return self.spatial.reshape(g * g, c)
 
 
+def model_ids(ids, features) -> np.ndarray:
+    """Check a model's inputs and return the ids as int64: one non-empty id
+    sequence [T] with its ImageFeatures, or a batch [B, T] with a list of B
+    ImageFeatures."""
+    ids = np.asarray(ids, dtype=np.int64)
+    single = isinstance(features, ImageFeatures)
+    if ids.size < 1 or ids.ndim != (1 if single else 2):
+        raise ShapeError(
+            f"ids must be a non-empty [T] sequence for one image or [B, T] for a "
+            f"list of images, got shape {ids.shape}"
+        )
+    if not single and len(features) != ids.shape[0]:
+        raise ShapeError(f"{ids.shape[0]} id sequences for {len(features)} images")
+    return ids
+
+
+def global_rows(features, feature_dim: int) -> np.ndarray:
+    """Global feature vectors as rows: [1, F] for one ImageFeatures, [B, F]
+    for a list of B, checked against the configured dimension F."""
+    if isinstance(features, ImageFeatures):
+        rows = features.global_vec.reshape(1, -1)
+    else:
+        rows = np.stack([f.global_vec for f in features])
+    if rows.shape[1] != feature_dim:
+        raise ShapeError(f"global feature dim {rows.shape[1]} != configured {feature_dim}")
+    if not np.all(np.isfinite(rows)):
+        raise InvalidFeatureError("global feature contains non-finite values")
+    return rows
+
+
 @dataclass
 class CorpusRecord:
     image_id: str
@@ -262,9 +307,13 @@ def read_features(path) -> dict[str, ImageFeatures]:
     pos = 20
     out: dict[str, ImageFeatures] = {}
     for _ in range(count):
+        start = pos
         (id_len,) = struct.unpack("<H", need(pos, 2))
         pos += 2
-        image_id = need(pos, id_len).decode("utf-8")
+        try:
+            image_id = need(pos, id_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
         pos += id_len
         global_vec = np.frombuffer(need(pos, 4 * f_dim), dtype="<f4").astype(np.float64)
         pos += 4 * f_dim
@@ -277,7 +326,10 @@ def read_features(path) -> dict[str, ImageFeatures]:
                 .reshape(g_dim, g_dim, c_dim)
             )
             pos += 4 * n
-        out[image_id] = ImageFeatures(global_vec, spatial)
+        try:
+            out[image_id] = ImageFeatures(global_vec, spatial)
+        except InvalidFeatureError as exc:
+            raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
     if pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - pos} trailing bytes at offset {pos}")
     return out
@@ -296,15 +348,14 @@ def write_caption_file(path, items) -> None:
 
 def read_caption_file(path) -> list[tuple[str, list[str]]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'id<TAB>caption'")
-            image_id, text = line.split("\t", 1)
-            out.append((image_id, tokenize(text)))
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'id<TAB>caption'")
+        image_id, text = line.split("\t", 1)
+        out.append((image_id, tokenize(text)))
     return out
 
 

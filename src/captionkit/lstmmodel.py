@@ -15,7 +15,7 @@ import numpy as np
 
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
-from captionkit.data import ImageFeatures, InvalidFeatureError
+from captionkit.data import ImageFeatures, global_rows, model_ids
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class LstmConfig:
 
 @dataclass
 class LstmState:
-    hidden: Tensor  # [1, H]
-    memory: Tensor  # [1, H]
+    hidden: Tensor  # [B, H]; B = 1 for a single example
+    memory: Tensor  # [B, H]
 
 
 def _shapes(config: LstmConfig):
@@ -49,8 +49,13 @@ def _shapes(config: LstmConfig):
     yield "output_b", (v,), 0.0
 
 
+def parameter_shapes(config: LstmConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in creation order."""
+    return {name: shape for name, shape, _ in _shapes(config)}
+
+
 def parameter_count(config: LstmConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in _shapes(config))
+    return sum(int(np.prod(shape)) for shape in parameter_shapes(config).values())
 
 
 def init_params(config: LstmConfig, seed: int) -> "LstmModel":
@@ -83,23 +88,19 @@ class LstmModel:
     def output_projection(self) -> Tensor:
         return self.params["output_w"]
 
-    def init_state(self, features: ImageFeatures) -> LstmState:
-        """h0 = linear(relu(global feature)), m0 = 0."""
-        vec = features.global_vec
-        if vec.shape[0] != self.config.feature_dim:
-            raise ad.ShapeError(
-                f"global feature dim {vec.shape[0]} != configured {self.config.feature_dim}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise InvalidFeatureError("global feature contains non-finite values")
-        x = ad.relu(Tensor(vec.reshape(1, -1)))
+    def init_state(self, features) -> LstmState:
+        """h0 = linear(relu(global feature)), m0 = 0; one row per image for
+        one ImageFeatures or a list of them."""
+        x = ad.relu(Tensor(global_rows(features, self.config.feature_dim)))
         h0 = ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
-        return LstmState(hidden=h0, memory=Tensor(np.zeros((1, self.config.hidden_dim))))
+        return LstmState(hidden=h0, memory=Tensor(np.zeros(h0.data.shape)))
 
-    def step(self, state: LstmState, token_id: int):
-        """One cell update conditioned on (state, token); returns (state', probs)."""
+    def step(self, state: LstmState, token_ids):
+        """One cell update conditioned on (state, tokens); returns (state',
+        probs). ``token_ids`` is one id per state row: a single id for a
+        [1, H] state, B ids for a [B, H] state. probs are [B, vocab]."""
         h = self.config.hidden_dim
-        emb = ad.embedding_lookup(self.params["word_embedding"], [int(token_id)])
+        emb = ad.embedding_lookup(self.params["word_embedding"], np.atleast_1d(token_ids))
         z = ad.add(
             ad.matmul(ad.concat((emb, state.hidden), axis=1), self.params["gates_w"]),
             self.params["gates_b"],
@@ -113,21 +114,22 @@ class LstmModel:
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
         return LstmState(hidden, memory), ad.softmax(logits, axis=-1)
 
-    def forward(self, ids, features: ImageFeatures, train_mode: bool = False, seed: int = 0):
-        """Sequential unroll over an input-view id sequence; [T, vocab] probs.
+    def forward(self, ids, features, train_mode: bool = False, seed=0):
+        """Sequential unroll over input-view ids: one sequence [T] with its
+        ImageFeatures gives [T, vocab] probs; a batch [B, T] with a list of B
+        ImageFeatures steps all B examples together and gives [B, T, vocab].
 
         train_mode/seed are accepted for interface parity with the
         convolutional model; the baseline uses no dropout.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ad.ShapeError(f"ids must be a non-empty 1-d sequence, got shape {ids.shape}")
+        ids = model_ids(ids, features)
         state = self.init_state(features)
         rows = []
-        for token_id in ids:
-            state, probs = self.step(state, token_id)
+        for t in range(ids.shape[-1]):
+            state, probs = self.step(state, ids[..., t])
             rows.append(probs)
-        return ad.concat(rows, axis=0), state
+        probs = ad.concat(rows, axis=0) if ids.ndim == 1 else ad.stack(rows, axis=1)
+        return probs, state
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         probs, _ = self.forward(ids, features, train_mode=False)

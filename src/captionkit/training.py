@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -122,6 +121,11 @@ def train(
 ) -> TrainResult:
     """Run the teacher-forced training loop and return per-epoch records.
 
+    Each minibatch is one batched forward and one backward of the batch's
+    ``nll_loss``, the mean of its examples' losses. Every example still gets
+    its own dropout seed, drawn in shuffle order, so its masks are the ones a
+    forward of that example alone would draw.
+
     Fully deterministic for a given seed: each epoch's shuffle and dropout
     noise derive from (seed, epoch), so a resumed run replays the same epoch
     stream an uninterrupted run would (RMSProp accumulators restart on
@@ -154,18 +158,15 @@ def train(
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch)))
         order = rng.permutation(len(train_examples))
         for lo in range(0, len(order), config.batch_size):
-            chunk = order[lo:lo + config.batch_size]
+            batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
+            seeds = [int(rng.integers(2**31)) for _ in batch]
             ad.zero_gradients(params)
-            losses = []
-            for idx in chunk:
-                ex = train_examples[idx]
-                probs, _ = model.forward(
-                    ex.seq.input_ids, ex.features,
-                    train_mode=True, seed=int(rng.integers(2**31)),
-                )
-                losses.append(nll_loss(probs, ex.seq, config.loss_reduction, result.loss_stats))
-            batch_loss = ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
-            ad.backward(batch_loss)
+            probs, _ = model.forward(
+                np.stack([ex.seq.input_ids for ex in batch]), [ex.features for ex in batch],
+                train_mode=True, seed=seeds,
+            )
+            ad.backward(nll_loss(probs, [ex.seq for ex in batch], config.loss_reduction,
+                                 result.loss_stats))
             optimizer.step(lr)
 
         records = [analysis.grad_norm_probe(model, train_probe).record(epoch, "train")]

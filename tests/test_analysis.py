@@ -283,8 +283,9 @@ class TestMeasurementPass:
         monkeypatch.setattr(model, "forward", counting("forward", model.forward))
         monkeypatch.setattr(ad, "backward", counting("backward", ad.backward))
         train(model, examples[:4], examples[4:], TrainConfig(epochs=1, batch_size=2, probe_size=3))
-        # Updates: 4 forwards, 2 batch backwards. Probes: 3 train and 2 val examples.
-        assert calls == {"forward": 4 + 3 + 2, "backward": 2 + 3 + 2}
+        # Updates: one forward and one backward per minibatch of 2. Probes:
+        # 3 train and 2 val examples.
+        assert calls == {"forward": 2 + 3 + 2, "backward": 2 + 3 + 2}
 
     def test_record_carries_every_field(self):
         model, examples = _probe_setup("lstm")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ class TestTrain:
         assert run(["train", "--model", "cnn", "--data", data_dir,
                     "--config", write_cfg(tmp_path), "--out", tmp_path / "run"]) == 1
         assert "record scene00000 has an empty caption" in capsys.readouterr().err
+
+    def test_empty_feature_file_fails(self, tmp_path, capsys):
+        data_dir = make_data(tmp_path)
+        (data_dir / "features.ccf").write_bytes(b"CCF1" + struct.pack("<IIII", 0, 96, 4, 64))
+        (data_dir / "train.tsv").write_text("")
+        (data_dir / "val.tsv").write_text("")
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", write_cfg(tmp_path), "--out", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and "holds no images" in err
 
     def test_resume_config_mismatch_fails(self, tmp_path, capsys):
         data_dir = make_data(tmp_path)

@@ -1,0 +1,86 @@
+"""Truncated and bit-flipped files: every reader either loads the file or
+raises its module's declared error, never a decoder's or parser's own."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from captionkit import convmodel as cm
+from captionkit import data
+from captionkit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    records, vocab = data.synth_corpus(2, seed=1, feature_dim=3, grid_size=2, spatial_channels=2)
+    model = cm.init_params(cm.ModelConfig(vocab_size=vocab.size, embed_dim=2, hidden_dim=2,
+                                          num_layers=1, kernel_widths=(2,), bottleneck_dim=2,
+                                          max_steps=4, feature_dim=3), seed=0)
+    paths = {name: root / name for name in ("ckpt", "ccf", "vocab", "tsv")}
+    save_checkpoint(paths["ckpt"], model, seed=0, epoch=0, vocab=vocab)
+    data.write_features({r.image_id: r.features for r in records}, paths["ccf"])
+    vocab.to_file(paths["vocab"])
+    data.write_caption_file(paths["tsv"], [(r.image_id, r.caption) for r in records])
+    return root, {name: path.read_bytes() for name, path in paths.items()}
+
+
+READERS = {
+    "ckpt": (load_checkpoint, CheckpointError),
+    "ccf": (data.read_features, data.FormatError),
+    "vocab": (data.Vocabulary.from_file, data.FormatError),
+    "tsv": (data.read_caption_file, data.FormatError),
+}
+
+
+def corrupt(blob: bytes, cut: int, offset: int, value: int, flip: bool) -> bytes:
+    """A single-byte flip at ``offset`` or a truncation to ``cut`` bytes."""
+    if flip:
+        i = offset % len(blob)
+        return blob[:i] + bytes([value]) + blob[i + 1:]
+    return blob[: cut % len(blob)]
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@given(cut=st.integers(0, 2**16), offset=st.integers(0, 2**16),
+       value=st.integers(0, 255), flip=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_only_declared_errors(valid_files, name, cut, offset, value, flip):
+    root, blobs = valid_files
+    reader, declared = READERS[name]
+    path = root / f"fuzzed_{name}"
+    path.write_bytes(corrupt(blobs[name], cut, offset, value, flip))
+    try:
+        reader(path)
+    except declared as exc:
+        assert str(path) in str(exc)
+
+
+def test_checkpoint_config_flip_caught_by_parameter_table(valid_files, tmp_path):
+    _, blobs = valid_files
+    blob = blobs["ckpt"]
+    i = blob.index(b'"hidden_dim": 2') + len(b'"hidden_dim": ')
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(blob[:i] + b"3" + blob[i + 1:])
+    with pytest.raises(CheckpointError, match="parameter table"):
+        load_checkpoint(path)
+
+
+def test_undecodable_feature_id_reports_offset(valid_files, tmp_path):
+    _, blobs = valid_files
+    path = tmp_path / "bad_id.ccf"
+    path.write_bytes(blobs["ccf"][:22] + b"\xff" + blobs["ccf"][23:])
+    with pytest.raises(data.FormatError, match="offset 22"):
+        data.read_features(path)
+
+
+def test_non_finite_feature_value_is_a_format_error(valid_files, tmp_path):
+    _, blobs = valid_files
+    blob = bytearray(blobs["ccf"])
+    first_value = 20 + 2 + len("scene00000")
+    blob[first_value:first_value + 4] = np.array([np.inf], dtype="<f4").tobytes()
+    path = tmp_path / "inf.ccf"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(data.FormatError, match="offset 20"):
+        data.read_features(path)
