@@ -27,9 +27,7 @@ __all__ = [
     "zero_gradients",
     "matmul",
     "add",
-    "sub",
     "mul",
-    "neg",
     "scale",
     "relu",
     "sigmoid",
@@ -90,30 +88,9 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
 
 def _node(data, parents, bw) -> Tensor:
@@ -181,7 +158,7 @@ def zero_gradients(tensors) -> None:
     if isinstance(tensors, dict):
         tensors = tensors.values()
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -237,14 +214,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             emit(b, g.sum(axis=tuple(range(g.ndim - 1))))
         return _node(a.data + b.data, (a, b), bw)
     raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(b))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

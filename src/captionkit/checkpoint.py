@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,13 @@ class CheckpointMismatchError(CheckpointError):
     """Stored configuration conflicts with what the caller expects."""
 
 
+# The header's kind tag -> (config class, model class, parameter shapes of a config).
+MODEL_KINDS = {
+    "cnn": (ModelConfig, CaptionModel, cm.parameter_shapes),
+    "lstm": (LstmConfig, LstmModel, lm.parameter_shapes),
+}
+
+
 @dataclass
 class LoadedCheckpoint:
     kind: str
@@ -48,7 +55,7 @@ def save_checkpoint(path, model, *, seed: int, epoch: int, vocab: Vocabulary | N
     header = {
         "version": VERSION,
         "kind": model.kind,
-        "config": model.config_dict(),
+        "config": asdict(model.config),
         "seed": int(seed),
         "epoch": int(epoch),
         "vocab": vocab.id_to_token if vocab is not None else None,
@@ -65,16 +72,6 @@ def save_checkpoint(path, model, *, seed: int, epoch: int, vocab: Vocabulary | N
         for t in model.parameters().values():
             fh.write(t.data.astype("<f8").tobytes())
     os.replace(tmp, path)
-
-
-def _rebuild(kind: str, config: dict):
-    if kind == "cnn":
-        config = dict(config)
-        config["kernel_widths"] = tuple(config["kernel_widths"])
-        return ModelConfig(**config)
-    if kind == "lstm":
-        return LstmConfig(**config)
-    raise CheckpointError(f"unknown model kind {kind!r}")
 
 
 def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
@@ -95,7 +92,10 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
         kind, seed, epoch = header["kind"], header["seed"], header["epoch"]
-        config = _rebuild(kind, header["config"])
+        if kind not in MODEL_KINDS:
+            raise CheckpointError(f"unknown model kind {kind!r}")
+        config_cls, model_cls, parameter_shapes = MODEL_KINDS[kind]
+        config = config_cls(**header["config"])
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         vocab = Vocabulary(header["vocab"]) if header["vocab"] else None
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -103,17 +103,13 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
         raise CheckpointError(
             f"{path}: malformed header at offset {offset}: {type(exc).__name__}: {exc}"
         ) from exc
-    shapes = (cm.parameter_shapes if kind == "cnn" else lm.parameter_shapes)(config)
-    if entries != list(shapes.items()):
+    if entries != list(parameter_shapes(config).items()):
         raise CheckpointError(f"{path}: parameter table at offset 12 does not match the config")
 
     if expect_config is not None and config != expect_config:
-        stored = header["config"]
-        expected = asdict(expect_config) if is_dataclass(expect_config) else dict(expect_config)
-        diffs = sorted(
-            k for k in set(stored) | set(expected)
-            if _norm(stored.get(k)) != _norm(expected.get(k))
-        )
+        stored, expected = asdict(config), asdict(expect_config)
+        diffs = sorted(k for k in stored.keys() | expected.keys()
+                       if stored.get(k) != expected.get(k))
         raise CheckpointMismatchError(f"{path}: config mismatch on {', '.join(diffs)}")
 
     pos = 12 + header_len
@@ -128,9 +124,6 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes at offset {pos}")
 
-    model = (CaptionModel if kind == "cnn" else LstmModel)(config, params)
+    model = model_cls(config, params)
     return LoadedCheckpoint(kind=kind, model=model, seed=seed, epoch=epoch, vocab=vocab)
 
-
-def _norm(value):
-    return list(value) if isinstance(value, tuple) else value

@@ -8,14 +8,16 @@ a run is reproducible from its manifest alone. No timestamps are recorded,
 so identical invocations produce byte-identical outputs.
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
-Recognized keys are the field names of ModelConfig (minus the dimensions
-taken from the data: vocab, feature, grid and spatial sizes) and TrainConfig,
-plus ``init_seed``.
+Recognized keys are the field names of TrainConfig and of the model's config
+(ModelConfig, or LstmConfig for ``--model lstm``) minus DATA_FIELDS, the
+dimensions taken from the data, plus ``init_seed``. Each value is read by
+its field's declared type, and an absent key keeps the field's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -78,10 +80,16 @@ class Manifest:
         self.data["status"] = "complete"
         self._write()
 
-    def fail(self, error: BaseException) -> None:
-        self.data["status"] = "failed"
-        self.data["error"] = f"{type(error).__name__}: {error}"
-        self._write()
+    def __enter__(self) -> "Manifest":
+        return self
+
+    def __exit__(self, exc_type, error, traceback) -> None:
+        """Any error, KeyboardInterrupt included, marks the run failed and
+        propagates."""
+        if error is not None:
+            self.data["status"] = "failed"
+            self.data["error"] = f"{type(error).__name__}: {error}"
+            self._write()
 
 
 def _sha256(path: str) -> str:
@@ -119,16 +127,6 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _get(values: dict, key: str, convert, default):
-    if key not in values:
-        return default
-    raw = values.pop(key)
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise CliError(f"config key {key}: {exc}") from exc
-
-
 def _bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -142,51 +140,45 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
 
 
-def build_train_config(values: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        learning_rate=_get(values, "learning_rate", float, 5e-5),
-        decay_factor=_get(values, "decay_factor", float, 0.1),
-        decay_period=_get(values, "decay_period", int, 15),
-        epochs=_get(values, "epochs", int, 30),
-        batch_size=_get(values, "batch_size", int, 32),
-        rms_alpha=_get(values, "rms_alpha", float, 0.99),
-        rms_epsilon=_get(values, "rms_epsilon", float, 1e-8),
-        seed=_get(values, "seed", int, 0),
-        eval_cadence=_get(values, "eval_cadence", int, 1),
-        loss_reduction=_get(values, "loss_reduction", str, "mean"),
-        probe_size=_get(values, "probe_size", int, 64),
-    )
+# Config values are converted by the declared type of the field they name.
+CONVERTERS = {"int": int, "float": float, "str": str, "bool": _bool,
+              "tuple[int, ...]": _int_tuple}
+# Model fields taken from the data directory; they are not config keys.
+DATA_FIELDS = ("vocab_size", "feature_dim", "grid_size", "spatial_channels")
+
+
+def _pop(values: dict, key: str, convert):
+    raw = values.pop(key)
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise CliError(f"config key {key}: {exc}") from exc
+
+
+def config_fields(cls, values: dict) -> dict:
+    """Pop the config keys that name fields of the dataclass ``cls`` (other
+    than DATA_FIELDS), converted by each field's declared type. Absent
+    fields are left out, so the dataclass default applies."""
+    return {
+        f.name: _pop(values, f.name, CONVERTERS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.name in values and f.name not in DATA_FIELDS
+    }
 
 
 def build_model_config(values: dict, kind: str, vocab_size: int,
                        feature_dim: int, grid_size: int, spatial_channels: int):
     if kind == "lstm":
-        return lm.LstmConfig(
-            vocab_size=vocab_size,
-            embed_dim=_get(values, "embed_dim", int, 512),
-            hidden_dim=_get(values, "hidden_dim", int, 512),
-            max_steps=_get(values, "max_steps", int, 15),
-            feature_dim=feature_dim,
-        )
-    attention = _get(values, "attention", _bool, False) or kind == "cnn-attn"
-    if attention and grid_size == 0:
+        return lm.LstmConfig(**config_fields(lm.LstmConfig, values),
+                             vocab_size=vocab_size, feature_dim=feature_dim)
+    fields = config_fields(cm.ModelConfig, values)
+    if kind == "cnn-attn":
+        fields["attention"] = True
+    if fields.get("attention") and grid_size == 0:
         raise CliError("attention requested but the feature file has no spatial grids")
-    return cm.ModelConfig(
-        vocab_size=vocab_size,
-        embed_dim=_get(values, "embed_dim", int, 512),
-        hidden_dim=_get(values, "hidden_dim", int, 512),
-        num_layers=_get(values, "num_layers", int, 3),
-        kernel_widths=_get(values, "kernel_widths", _int_tuple, (2, 3, 3)),
-        bottleneck_dim=_get(values, "bottleneck_dim", int, 256),
-        max_steps=_get(values, "max_steps", int, 15),
-        feature_dim=feature_dim,
-        dropout_p=_get(values, "dropout_p", float, 0.1),
-        weight_norm=_get(values, "weight_norm", _bool, False),
-        residual=_get(values, "residual", _bool, False),
-        attention=attention,
-        grid_size=max(grid_size, 1),
-        spatial_channels=max(spatial_channels, 1),
-    )
+    return cm.ModelConfig(**fields, vocab_size=vocab_size, feature_dim=feature_dim,
+                          grid_size=max(grid_size, 1),
+                          spatial_channels=max(spatial_channels, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ def _load_dataset(data_dir: str):
 
 def cmd_synth(args) -> int:
     out_dir = _resolve_out(args.out, "synth")
-    manifest = Manifest(
+    with Manifest(
         out_dir, "synth",
         {
             "scenes": args.scenes, "val_fraction": args.val_fraction,
@@ -230,8 +222,7 @@ def cmd_synth(args) -> int:
             "channels": args.channels, "noise": args.noise,
         },
         args.seed, {},
-    )
-    try:
+    ) as manifest:
         records, _ = synth_corpus(
             args.scenes, args.seed,
             feature_dim=args.feature_dim, grid_size=args.grid,
@@ -255,31 +246,26 @@ def cmd_synth(args) -> int:
         with open(paths["scenes.json"], "w", encoding="utf-8") as fh:
             json.dump({r.image_id: r.meta for r in records}, fh, indent=2, sort_keys=True)
         manifest.finish(list(paths.values()), scenes=len(records))
-    except BaseException as exc:
-        manifest.fail(exc)
-        raise
     return 0
 
 
 def cmd_train(args) -> int:
     out_dir = _resolve_out(args.out, "train")
     values = parse_config_file(args.config) if args.config else {}
-    manifest = Manifest(
+    with Manifest(
         out_dir, "train", dict(values) | {"model": args.model},
-        values.get("seed", "0"),
+        values.get("seed", str(training.TrainConfig.seed)),
         {"data": args.data, "config": args.config, "resume": args.resume},
-    )
-    try:
+    ) as manifest:
         # The pipeline trains on precomputed image features; the extractor
         # that produced them is held fixed and is never fine-tuned here.
         print("training on precomputed image features (extractor held fixed)",
               file=sys.stderr)
         manifest.data["notes"] = "image features precomputed; extractor held fixed"
         vocab, splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
-        init_seed = _get(values, "init_seed", int, None)
-        train_config = build_train_config(values)
-        model_kind = "lstm" if args.model == "lstm" else args.model
-        model_config = build_model_config(values, model_kind, vocab.size, f_dim, g_dim, c_dim)
+        init_seed = _pop(values, "init_seed", int) if "init_seed" in values else None
+        train_config = training.TrainConfig(**config_fields(training.TrainConfig, values))
+        model_config = build_model_config(values, args.model, vocab.size, f_dim, g_dim, c_dim)
         if values:
             raise CliError(f"unknown config keys: {', '.join(sorted(values))}")
 
@@ -288,10 +274,9 @@ def cmd_train(args) -> int:
             loaded = load_checkpoint(args.resume, expect_config=model_config)
             model = loaded.model
             start_epoch = loaded.epoch + 1
-        elif args.model == "lstm":
-            model = lm.init_params(model_config, init_seed if init_seed is not None else train_config.seed)
         else:
-            model = cm.init_params(model_config, init_seed if init_seed is not None else train_config.seed)
+            seed = train_config.seed if init_seed is None else init_seed
+            model = (lm if args.model == "lstm" else cm).init_params(model_config, seed)
 
         max_steps = model_config.max_steps
         train_examples = training.prepare_examples(splits["train"], vocab, max_steps)
@@ -309,9 +294,6 @@ def cmd_train(args) -> int:
             best_val_loss=result.best_val_loss,
             clamped_probabilities=result.loss_stats.clamped,
         )
-    except BaseException as exc:
-        manifest.fail(exc)
-        raise
     return 0
 
 
@@ -325,11 +307,10 @@ def _load_model_checkpoint(path):
 def cmd_caption(args) -> int:
     out_file = args.out
     out_dir = os.path.dirname(os.path.abspath(out_file)) or "."
-    manifest = Manifest(
+    with Manifest(
         out_dir, "caption", {"beam": args.beam, "max_steps": args.max_steps},
         None, {"ckpt": args.ckpt, "features": args.features},
-    )
-    try:
+    ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
         features = read_features(args.features)
         limit = args.max_steps or loaded.model.config.max_steps
@@ -345,19 +326,15 @@ def cmd_caption(args) -> int:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
         os.replace(tmp, out_file)
         manifest.finish([out_file], images=len(features))
-    except BaseException as exc:
-        manifest.fail(exc)
-        raise
     return 0
 
 
 def cmd_eval(args) -> int:
     out_dir = _resolve_out(args.out, "eval")
-    manifest = Manifest(
+    with Manifest(
         out_dir, "eval", {"beam": args.beam, "split": args.split},
         None, {"ckpt": args.ckpt, "data": args.data},
-    )
-    try:
+    ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
         _, splits, _ = _load_dataset(args.data)
         candidates = []
@@ -384,9 +361,6 @@ def cmd_eval(args) -> int:
         manifest.finish([bleu_path, cand_path, ref_path],
                         bleu={f"bleu{n}": s for n, s in enumerate(scores, 1)})
         print("\n".join(f"BLEU-{n}: {score:.4f}" for n, score in enumerate(scores, 1)))
-    except BaseException as exc:
-        manifest.fail(exc)
-        raise
     return 0
 
 
@@ -407,12 +381,11 @@ def _analyze_one(loaded, splits, vocab, beam, limit, positions):
 
 def cmd_analyze(args) -> int:
     out_dir = _resolve_out(args.out, "analyze")
-    manifest = Manifest(
+    with Manifest(
         out_dir, "analyze",
         {"beam": args.beam, "limit": args.limit, "positions": args.positions},
         None, {"ckpt": args.ckpt, "ckpt2": args.ckpt2, "data": args.data},
-    )
-    try:
+    ) as manifest:
         vocab, splits, _ = _load_dataset(args.data)
         loaded = [_load_model_checkpoint(args.ckpt)]
         if args.ckpt2:
@@ -444,9 +417,6 @@ def cmd_analyze(args) -> int:
         if len(results) == 2:
             outputs.append(_write_comparison(out_dir, results))
         manifest.finish(outputs)
-    except BaseException as exc:
-        manifest.fail(exc)
-        raise
     return 0
 
 

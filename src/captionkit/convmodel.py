@@ -10,7 +10,7 @@ forward serves step-by-step inference on growing prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,12 +130,10 @@ def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
 
 @dataclass
 class DecoderState:
-    """Per-layer diagnostics from one forward pass: post-GLU activations
-    (the per-word embeddings attention keys off) and, when attention is
+    """Per-layer diagnostics from one forward pass: when attention is
     enabled, the [T, G*G] attention map of each layer (with a leading batch
-    axis for a batch forward)."""
+    axis for a batch forward); empty otherwise."""
 
-    layer_activations: list[np.ndarray] = field(default_factory=list)
     attention_maps: list[np.ndarray] = field(default_factory=list)
 
 
@@ -150,9 +148,6 @@ class CaptionModel:
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)
 
     @property
     def word_embedding(self) -> Tensor:
@@ -222,10 +217,9 @@ class CaptionModel:
             x = ad.dropout(h, cfg.dropout_p, rng, train_mode)
             conv = ad.causal_conv1d(x, self._conv_kernel(layer), self.params[f"conv{layer}_bias"])
             d = ad.glu(conv)
-            state.layer_activations.append(d.data)
             out = d
             if cfg.attention:
-                context, amap = _attend_rows(d, spatial, self.params[f"attn{layer}_w"])
+                context, amap = attend(d, spatial, self.params[f"attn{layer}_w"])
                 state.attention_maps.append(amap.data)
                 out = ad.add(out, context)
             if cfg.residual and layer > 0:
@@ -242,24 +236,16 @@ class CaptionModel:
         return probs.data
 
 
-def _attend_rows(d: Tensor, spatial: Tensor, w: Tensor):
-    """Attention for all rows of d at once; d [T, H] with spatial [G*G, C],
-    or a batch d [B, T, H] with spatial [B, G*G, C].
+def attend(d: Tensor, spatial: Tensor, w: Tensor):
+    """Attention for all rows of d at once: d [T, H] with spatial [G*G, C]
+    (a single decoding step is d_j as a [1, H] row), or a batch d [B, T, H]
+    with spatial [B, G*G, C].
 
     scores[j, i] = (w^T d_j) . c_i over the G*G locations i; rows are
     softmax-normalized and the context is the score-weighted sum of the
-    spatial cells.
+    spatial cells. Returns (context [T, C], attention weights [T, G*G]),
+    with a leading batch axis for a batch; each row of weights sums to 1.
     """
     scores = ad.matmul(ad.matmul(d, w), ad.transpose(spatial))
     amap = ad.softmax(scores, axis=-1)
     return ad.matmul(amap, spatial), amap
-
-
-def attend(d_j: Tensor, spatial: Tensor, w: Tensor):
-    """Single-step attention: d_j is one decoder activation as a [1, H] row.
-
-    Returns (context [1, C], attention weights [1, G*G]); the weights sum
-    to 1.
-    """
-    context, amap = _attend_rows(d_j, spatial, w)
-    return context, amap

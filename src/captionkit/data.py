@@ -306,30 +306,33 @@ def read_features(path) -> dict[str, ImageFeatures]:
     count, f_dim, g_dim, c_dim = struct.unpack("<IIII", need(4, 16))
     pos = 20
     out: dict[str, ImageFeatures] = {}
-    for _ in range(count):
-        start = pos
-        (id_len,) = struct.unpack("<H", need(pos, 2))
-        pos += 2
-        try:
-            image_id = need(pos, id_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
-        pos += id_len
-        global_vec = np.frombuffer(need(pos, 4 * f_dim), dtype="<f4").astype(np.float64)
-        pos += 4 * f_dim
-        spatial = None
-        if g_dim > 0 and c_dim > 0:
-            n = g_dim * g_dim * c_dim
-            spatial = (
-                np.frombuffer(need(pos, 4 * n), dtype="<f4")
-                .astype(np.float64)
-                .reshape(g_dim, g_dim, c_dim)
-            )
-            pos += 4 * n
-        try:
-            out[image_id] = ImageFeatures(global_vec, spatial)
-        except InvalidFeatureError as exc:
-            raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
+    # Widening a float32 signalling NaN warns; the NaN it becomes is
+    # rejected by ImageFeatures as non-finite.
+    with np.errstate(invalid="ignore"):
+        for _ in range(count):
+            start = pos
+            (id_len,) = struct.unpack("<H", need(pos, 2))
+            pos += 2
+            try:
+                image_id = need(pos, id_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
+            pos += id_len
+            global_vec = np.frombuffer(need(pos, 4 * f_dim), dtype="<f4").astype(np.float64)
+            pos += 4 * f_dim
+            spatial = None
+            if g_dim > 0 and c_dim > 0:
+                n = g_dim * g_dim * c_dim
+                spatial = (
+                    np.frombuffer(need(pos, 4 * n), dtype="<f4")
+                    .astype(np.float64)
+                    .reshape(g_dim, g_dim, c_dim)
+                )
+                pos += 4 * n
+            try:
+                out[image_id] = ImageFeatures(global_vec, spatial)
+            except InvalidFeatureError as exc:
+                raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
     if pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - pos} trailing bytes at offset {pos}")
     return out

@@ -9,7 +9,7 @@ trainer and analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class LstmModel:
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)
 
     @property
     def word_embedding(self) -> Tensor:

@@ -66,7 +66,6 @@ class RmsProp:
         self.epsilon = epsilon
         self.accum = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.steps = 0
-        self.current_lr: float | None = None
 
     def step(self, lr: float) -> None:
         """Apply one update; a non-finite gradient anywhere aborts it before
@@ -81,7 +80,6 @@ class RmsProp:
             v += (1.0 - self.alpha) * g * g
             t.data -= lr * g / (np.sqrt(v) + self.epsilon)
         self.steps += 1
-        self.current_lr = lr
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,8 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from captionkit import cli, decoding
+from captionkit import cli, decoding, training
 from captionkit import convmodel as cm
+from captionkit import lstmmodel as lm
 from captionkit.checkpoint import load_checkpoint, save_checkpoint
 from captionkit.data import Vocabulary, read_caption_file, read_features
 
@@ -172,6 +174,143 @@ class TestTrain:
                     "--config", other_cfg, "--out", tmp_path / "run2",
                     "--resume", out / "checkpoints" / "last.ckpt"]) == 1
         assert "mismatch" in capsys.readouterr().err
+
+
+# Every model field a config file can set, each to a value other than its
+# default; hidden_dim 64 matches the synthetic spatial channels, as
+# attention requires.
+NON_DEFAULT_MODEL_VALUES = {
+    "cnn": (cm.ModelConfig, {
+        "embed_dim": ("6", 6), "hidden_dim": ("64", 64), "num_layers": ("2", 2),
+        "kernel_widths": ("3, 2", (3, 2)), "bottleneck_dim": ("5", 5),
+        "max_steps": ("9", 9), "dropout_p": ("0.25", 0.25), "weight_norm": ("yes", True),
+        "residual": ("on", True), "attention": ("true", True),
+    }),
+    "lstm": (lm.LstmConfig, {
+        "embed_dim": ("6", 6), "hidden_dim": ("7", 7), "max_steps": ("9", 9),
+    }),
+}
+
+NON_DEFAULT_TRAIN_VALUES = {
+    "learning_rate": ("2e-3", 2e-3), "decay_factor": ("0.5", 0.5),
+    "decay_period": ("4", 4), "epochs": ("3", 3), "batch_size": ("5", 5),
+    "rms_alpha": ("0.9", 0.9), "rms_epsilon": ("1e-6", 1e-6), "seed": ("11", 11),
+    "eval_cadence": ("2", 2), "loss_reduction": ("sum", "sum"), "probe_size": ("7", 7),
+}
+
+
+def _settable(cls):
+    return {f.name: f for f in dataclasses.fields(cls) if f.name not in cli.DATA_FIELDS}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("kind", sorted(NON_DEFAULT_MODEL_VALUES))
+    def test_every_model_field_reaches_the_checkpoint(self, tmp_path, kind):
+        cls, values = NON_DEFAULT_MODEL_VALUES[kind]
+        fields = _settable(cls)
+        assert set(values) == set(fields)
+        for name, (_, value) in values.items():
+            assert value != fields[name].default, name
+        data_dir = make_data(tmp_path)
+        text = "".join(f"{name} = {raw}\n" for name, (raw, _) in values.items())
+        cfg = write_cfg(tmp_path, text + "epochs = 1\nprobe_size = 2\n")
+        out = tmp_path / "run"
+        assert run(["train", "--model", kind, "--data", data_dir,
+                    "--config", cfg, "--out", out]) == 0
+        stored = load_checkpoint(out / "checkpoints" / "best.ckpt").model.config
+        assert type(stored) is cls
+        for name, (_, value) in values.items():
+            assert getattr(stored, name) == value, name
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_no_config_file_stores_the_dataclass_defaults(self, tmp_path, kind, monkeypatch):
+        """Without a config file the model is the dataclass default (plus the
+        data dimensions) and the trainer gets the default TrainConfig; the
+        run itself is cut to one epoch to keep the 512-wide model quick."""
+        seen = []
+        real_train = training.train
+
+        def one_epoch(model, train_examples, val_examples, config, **kwargs):
+            seen.append(config)
+            short = dataclasses.replace(config, epochs=1, probe_size=2)
+            return real_train(model, train_examples, val_examples, short, **kwargs)
+
+        monkeypatch.setattr(training, "train", one_epoch)
+        data_dir = make_data(tmp_path, scenes=4)
+        out = tmp_path / "run"
+        assert run(["train", "--model", kind, "--data", data_dir, "--out", out]) == 0
+        assert seen == [training.TrainConfig()]
+        loaded = load_checkpoint(out / "checkpoints" / "best.ckpt")
+        vocab = Vocabulary.from_file(data_dir / "vocab.txt")
+        if kind == "lstm":
+            expected = lm.LstmConfig(vocab_size=vocab.size, feature_dim=96)
+        else:
+            expected = cm.ModelConfig(vocab_size=vocab.size, feature_dim=96,
+                                      grid_size=4, spatial_channels=64)
+        assert loaded.model.config == expected
+
+    def test_every_train_field_goes_through_the_helper(self):
+        fields = _settable(training.TrainConfig)
+        assert set(NON_DEFAULT_TRAIN_VALUES) == set(fields)
+        values = {name: raw for name, (raw, _) in NON_DEFAULT_TRAIN_VALUES.items()}
+        converted = cli.config_fields(training.TrainConfig, values)
+        assert values == {}
+        config = training.TrainConfig(**converted)
+        for name, (_, value) in NON_DEFAULT_TRAIN_VALUES.items():
+            assert value != fields[name].default, name
+            assert getattr(config, name) == value, name
+            assert type(getattr(config, name)).__name__ == fields[name].type, name
+
+    def test_every_field_type_has_a_converter(self):
+        for cls in (training.TrainConfig, cm.ModelConfig, lm.LstmConfig):
+            for f in dataclasses.fields(cls):
+                assert f.type in cli.CONVERTERS, (cls.__name__, f.name, f.type)
+
+    def test_bad_value_names_the_key(self):
+        with pytest.raises(cli.CliError, match="config key batch_size"):
+            cli.config_fields(training.TrainConfig, {"batch_size": "many"})
+        with pytest.raises(cli.CliError, match="config key residual: not a boolean"):
+            cli.config_fields(cm.ModelConfig, {"residual": "maybe"})
+
+    @pytest.mark.parametrize("kind, key", [("lstm", "kernel_widths"), ("lstm", "residual"),
+                                           ("cnn", "vocab_size"), ("lstm", "feature_dim"),
+                                           ("cnn-attn", "spatial_channels")])
+    def test_key_outside_the_schema_is_unknown(self, tmp_path, capsys, kind, key):
+        data_dir = make_data(tmp_path)
+        cfg = write_cfg(tmp_path, f"embed_dim = 8\nhidden_dim = 64\nmax_steps = 8\n{key} = 2\n")
+        out = tmp_path / "run"
+        assert run(["train", "--model", kind, "--data", data_dir,
+                    "--config", cfg, "--out", out]) == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+
+class TestManifestFailure:
+    def test_keyboard_interrupt_propagates_and_marks_the_run_failed(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(training, "train", interrupted)
+        data_dir = make_data(tmp_path)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run(["train", "--model", "cnn", "--data", data_dir,
+                 "--config", write_cfg(tmp_path), "--out", out])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "KeyboardInterrupt: "
+        assert manifest["outputs"] == {}
+
+    def test_error_inside_a_subcommand_marks_the_run_failed(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "synth_corpus", broken)
+        out = tmp_path / "data"
+        assert run(["synth", "--scenes", 4, "--seed", 1, "--out", out]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "OSError: disk full"
 
 
 class TestCaptionEvalAnalyze:

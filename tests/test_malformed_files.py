@@ -1,6 +1,8 @@
 """Truncated and bit-flipped files: every reader either loads the file or
 raises its module's declared error, never a decoder's or parser's own."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,3 +86,26 @@ def test_non_finite_feature_value_is_a_format_error(valid_files, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(data.FormatError, match="offset 20"):
         data.read_features(path)
+
+
+def test_signalling_nan_feature_is_a_format_error_under_strict_warnings(valid_files, tmp_path):
+    """Widening a float32 signalling NaN warns; the reader still reports the
+    bad value as its own error, also when warnings are errors."""
+    _, blobs = valid_files
+    blob = bytearray(blobs["ccf"])
+    first_value = 20 + 2 + len("scene00000")
+    blob[first_value:first_value + 4] = np.array([0x7F800001], dtype="<u4").tobytes()
+    path = tmp_path / "snan.ccf"
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(data.FormatError, match="offset 20"):
+            data.read_features(path)
+
+
+def test_unknown_model_kind_names_the_kind(valid_files, tmp_path):
+    _, blobs = valid_files
+    path = tmp_path / "gru.ckpt"
+    path.write_bytes(blobs["ckpt"].replace(b'"kind": "cnn"', b'"kind": "gru"'))
+    with pytest.raises(CheckpointError, match="unknown model kind 'gru'"):
+        load_checkpoint(path)

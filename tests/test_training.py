@@ -248,6 +248,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointMismatchError, match="embed_dim"):
             load_checkpoint(path, expect_config=other)
 
+    def test_config_of_the_other_kind_rejected(self, tmp_path):
+        model, _, _ = synth_setup()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, seed=0, epoch=0)
+        other = lm.LstmConfig(vocab_size=model.config.vocab_size, embed_dim=8,
+                              hidden_dim=8, max_steps=8, feature_dim=96)
+        with pytest.raises(CheckpointMismatchError,
+                           match="on attention, bottleneck_dim, dropout_p, grid_size, "
+                                 "kernel_widths, num_layers, residual, spatial_channels, "
+                                 "weight_norm$"):
+            load_checkpoint(path, expect_config=other)
+
     def test_matching_config_accepted(self, tmp_path):
         model, _, _ = synth_setup()
         path = tmp_path / "m.ckpt"
