@@ -21,6 +21,9 @@ from captionkit.data import END_ID, TokenSeq
 
 BLEU_EPSILON = 1e-9
 PROB_FLOOR = 1e-12
+# The trainer's default minibatch size, and the probe's default chunk: the
+# probe's graphs then hold no more examples than an update's.
+BATCH_SIZE = 32
 
 
 @dataclass
@@ -112,16 +115,18 @@ class LossStats:
 
 
 def nll_loss(probs: Tensor, target, reduction: str = "mean",
-             stats: LossStats | None = None) -> Tensor:
+             stats: LossStats | None = None, batch_mean: bool = True) -> Tensor:
     """Negative log-likelihood of the unpadded target positions.
 
     ``probs`` is [T, V] for one example with ``target`` its TokenSeq, or
     [B, T, V] for a batch with ``target`` a list of B TokenSeqs; the loss of
-    a batch is the mean over its examples of each example's loss.
-    Probabilities below 1e-12 (in particular exact zeros) are clamped there,
-    and each such event in an unpadded position bumps ``stats.clamped`` when
-    a stats object is given. ``mean`` divides an example's sum by its number
-    of unpadded positions; ``sum`` does not.
+    a batch is the mean over its examples of each example's loss, or their
+    sum when ``batch_mean`` is false (each example's gradients are then
+    exactly those of its own loss). Probabilities below 1e-12 (in particular
+    exact zeros) are clamped there, and each such event in an unpadded
+    position bumps ``stats.clamped`` when a stats object is given. ``mean``
+    divides an example's sum by its number of unpadded positions; ``sum``
+    does not.
     """
     single = isinstance(target, TokenSeq)
     seqs = [target] if single else list(target)
@@ -134,7 +139,9 @@ def nll_loss(probs: Tensor, target, reduction: str = "mean",
     ids = np.stack([seq.target_ids[:rows] for seq in seqs])
     valid = np.arange(rows) < lengths[:, None]
     per_example = -1.0 / lengths if reduction == "mean" else np.full(len(seqs), -1.0)
-    weights = np.where(valid, per_example[:, None] * (1.0 / len(seqs)), 0.0)
+    if batch_mean:
+        per_example = per_example * (1.0 / len(seqs))
+    weights = np.where(valid, per_example[:, None], 0.0)
     if single:
         ids, valid, weights = ids[0], valid[0], weights[0]
     sel = ad.pick(probs, ids)
@@ -153,15 +160,22 @@ class _Totals:
     rows: int = 0
     examples: int = 0
 
-    def add(self, probs: np.ndarray, seq: TokenSeq) -> None:
-        rows = probs[: seq.valid_len]
-        targets = seq.target_ids[: seq.valid_len]
-        sel = rows[np.arange(rows.shape[0]), targets]
-        self.nll_sum += -np.log(np.maximum(sel, PROB_FLOOR)).mean()
-        self.hits += int((rows.argmax(axis=-1) == targets).sum())
-        self.entropy_sum += float(_row_entropies(rows).sum())
-        self.rows += rows.shape[0]
-        self.examples += 1
+    def add(self, probs: np.ndarray, seqs) -> None:
+        """Add examples: probs [B, T, V] with their B TokenSeqs. The per-row
+        terms are computed for all rows at once; each example's sums run
+        over its own unpadded rows."""
+        targets = np.stack([seq.target_ids[: probs.shape[-2]] for seq in seqs])
+        sel = np.take_along_axis(probs, targets[..., None], axis=-1)[..., 0]
+        nll = -np.log(np.maximum(sel, PROB_FLOOR))
+        hits = probs.argmax(axis=-1) == targets
+        entropies = _row_entropies(probs)
+        for b, seq in enumerate(seqs):
+            n = seq.valid_len
+            self.nll_sum += nll[b, :n].mean()
+            self.hits += int(hits[b, :n].sum())
+            self.entropy_sum += float(entropies[b, :n].sum())
+            self.rows += n
+            self.examples += 1
 
     @property
     def loss(self) -> float:
@@ -184,7 +198,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
 def _forward_totals(model, examples) -> _Totals:
     totals = _Totals()
     for ex in examples:
-        totals.add(model.forward_probs(ex.seq.input_ids, ex.features), ex.seq)
+        totals.add(model.forward_probs(ex.seq.input_ids, ex.features)[None], [ex.seq])
     return totals
 
 
@@ -219,38 +233,82 @@ class ProbeResult:
         return AnalysisRecord(epoch, split, **asdict(self))
 
 
-def grad_norm_probe(model, examples) -> ProbeResult:
+def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResult:
     """The single measurement pass over the probe examples.
 
-    Each example gets one teacher-forced forward with dropout off and one
-    backward of ``nll_loss``, the clamped per-token mean the trainer
-    optimizes. Loss, word accuracy and entropy come from that forward's
-    probabilities and equal ``mean_nll``, ``word_accuracy`` and
-    ``entropy_profile``. The gradient norms are the L2 norms at the
-    word-embedding table and at the final output projection, averaged over
-    the examples. Non-finite gradients are reported via the ``finite`` flag
-    rather than raised, so a diverging run still produces a (flagged) record.
+    Each chunk of at most ``batch_size`` examples gets one teacher-forced
+    batched forward with dropout off and one backward of the sum of its
+    examples' ``nll_loss``, so each example's gradients are its own. Loss,
+    word accuracy and entropy come from that forward's probabilities and
+    equal ``mean_nll``, ``word_accuracy`` and ``entropy_profile``.
+
+    The gradient norms are the L2 norms at the word-embedding table and at
+    the output projection, averaged over the examples. Each example's
+    gradients are read out of the batch (Goodfellow, arXiv 1510.01799), from
+    the ``.grad`` of the model's readouts, with the products and sums of
+    that example's own backward in the same order. Batched products are
+    issued per example, so the result is bit-identical at any
+    ``batch_size``. Meanwhile only the word-embedding table is tracked, so
+    no parameter gradient is computed; ``requires_grad`` is restored and
+    ``grad`` cleared after. Non-finite gradients set ``finite`` to False
+    rather than raise, so a diverging run still produces a flagged record.
     """
     params = model.parameters()
+    tracked = {name: p.requires_grad for name, p in params.items()}
+    # Tracking the word embedding alone still takes the backward through
+    # every activation.
+    for p in params.values():
+        p.requires_grad = p is model.word_embedding
     totals = _Totals()
     norm_in = 0.0
     norm_out = 0.0
     finite = True
-    for ex in examples:
-        ad.zero_gradients(params)
-        probs, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=False)
-        totals.add(probs.data, ex.seq)
-        ad.backward(nll_loss(probs, ex.seq))
-        g_in = model.word_embedding.grad
-        g_out = model.output_projection.grad
-        if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
-            finite = False
-        norm_in += float(np.linalg.norm(g_in))
-        norm_out += float(np.linalg.norm(g_out))
-    ad.zero_gradients(params)
+    try:
+        for lo in range(0, len(examples), batch_size):
+            chunk = examples[lo:lo + batch_size]
+            probs, g_in, g_out = _probe_chunk(model, chunk)
+            if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
+                finite = False
+            totals.add(probs, [ex.seq for ex in chunk])
+            for b in range(len(chunk)):
+                norm_in += float(np.linalg.norm(g_in[b]))
+                norm_out += float(np.linalg.norm(g_out[b]))
+    finally:
+        for name, p in params.items():
+            p.requires_grad = tracked[name]
+            p.grad = None
     n = len(examples)
     return ProbeResult(totals.loss, totals.accuracy, totals.entropy,
                        norm_in / n, norm_out / n, finite)
+
+
+def _probe_chunk(model, chunk):
+    """One batched forward and backward of a probe chunk. Returns its
+    probabilities and each example's gradients at the word-embedding table
+    and at the output projection, as plain [B, ...] arrays, so the chunk's
+    graph is freed before the next chunk's is built."""
+    seqs = [ex.seq for ex in chunk]
+    probs, state = model.forward(np.stack([seq.input_ids for seq in seqs]),
+                                 [ex.features for ex in chunk], train_mode=False)
+    ad.backward(nll_loss(probs, seqs, batch_mean=False))
+    # Each example's terms are the products and sums its own backward would
+    # make, in the same order (np.add.at applies its additions in index
+    # order).
+    readouts = model.readouts(state)
+    g_in = np.zeros((len(chunk),) + model.word_embedding.data.shape)
+    np.add.at(g_in, (np.arange(len(chunk))[:, None],
+                     np.concatenate([r.ids for r in readouts], axis=1)),
+              np.concatenate([r.words.grad for r in readouts], axis=1))
+    g_out = None
+    for r in readouts:
+        x = r.classifier_input.data.swapaxes(-1, -2)
+        # A product over one row is exactly the elementwise product.
+        term = x * r.logits.grad if x.shape[-1] == 1 else x @ r.logits.grad
+        if g_out is None:
+            g_out = term
+        else:
+            g_out += term
+    return probs.data, g_in, g_out
 
 
 # ---------------------------------------------------------------------------

@@ -173,29 +173,30 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a`` [..., T, C] times a shared ``b`` [C, D], or a batched product
-    [B, T, C] @ [B, C, D]. A batch times a shared ``b`` runs as one
-    [B*T, C] @ [C, D] product, and its ``b`` gradient sums over the batch."""
+    """``a`` [T, C] or a batch [B, T, C] times a shared ``b`` [C, D], or a
+    batched product [B, T, C] @ [B, C, D].
+
+    A batch runs as one stacked ``np.matmul``, which issues one product per
+    example at the shape that example alone would use. Each example's result
+    rows, and in backward its ``a`` gradient, are therefore bit-identical to
+    that example's own product, whatever its batch-mates. The gradient of a
+    shared ``b`` is one product summed over the batch.
+    """
     x, w = a.data, b.data
-    if x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0]:
+    if x.ndim in (2, 3) and w.ndim == 2 and x.shape[-1] == w.shape[0]:
         def bw(g, emit):
-            emit(a, g @ w.T)
-            emit(b, x.T @ g)
+            if a.requires_grad:
+                emit(a, g @ w.T)
+            if b.requires_grad:
+                emit(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
 
         return _node(x @ w, (a, b), bw)
-    if x.ndim == 3 and w.ndim == 2 and x.shape[2] == w.shape[0]:
-        rows = x.reshape(-1, w.shape[0])
-
-        def bw(g, emit):
-            g_rows = g.reshape(-1, w.shape[1])
-            emit(a, (g_rows @ w.T).reshape(x.shape))
-            emit(b, rows.T @ g_rows)
-
-        return _node((rows @ w).reshape(x.shape[:2] + w.shape[1:]), (a, b), bw)
     if x.ndim == 3 and w.ndim == 3 and x.shape[0] == w.shape[0] and x.shape[2] == w.shape[1]:
         def bw(g, emit):
-            emit(a, g @ w.swapaxes(1, 2))
-            emit(b, x.swapaxes(1, 2) @ g)
+            if a.requires_grad:
+                emit(a, g @ w.swapaxes(1, 2))
+            if b.requires_grad:
+                emit(b, x.swapaxes(1, 2) @ g)
 
         return _node(x @ w, (a, b), bw)
     raise ShapeError(f"matmul: incompatible shapes {x.shape} and {w.shape}")
@@ -211,7 +212,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim >= 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[-1]:
         def bw(g, emit):
             emit(a, g)
-            emit(b, g.sum(axis=tuple(range(g.ndim - 1))))
+            if b.requires_grad:
+                emit(b, g.sum(axis=tuple(range(g.ndim - 1))))
         return _node(a.data + b.data, (a, b), bw)
     raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
@@ -244,13 +246,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    # never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -322,9 +321,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     ``bias`` is [Cout]. Each sequence is implicitly left-padded with K-1 zero
     rows, so output row t is a function of input rows t-K+1 .. t only.
 
-    A batch is laid out as one long sequence of its padded examples, so each
-    kernel tap is a single [rows, Cin] @ [Cin, Cout] product; the K-1 rows
-    whose windows straddle two examples are computed and then skipped.
+    The output starts as the bias, and the taps are added in order k, each
+    as a [T, Cin] @ [Cin, Cout] product per example (a stacked product for a
+    batch). A batch's rows and input gradient are therefore bit-identical to
+    each example's own; the kernel gradient is one product per tap summed
+    over the batch.
     """
     if x.data.ndim not in (2, 3) or kernel.data.ndim != 3:
         raise ShapeError(
@@ -338,36 +339,26 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.data.shape != (cout,):
         raise ShapeError(f"causal_conv1d: bias shape {bias.data.shape}, expected ({cout},)")
-    lead, T = x.data.shape[:-2], x.data.shape[-2]
-    padded = T + K - 1
-    xp = np.concatenate([np.zeros(lead + (K - 1, cin)), x.data], axis=-2) if K > 1 else x.data
-    flat = xp.reshape(-1, cin) if lead else xp
-    n = flat.shape[0] - (K - 1)  # windows that fit in the flat layout
-    out = np.tile(bias.data, (n, 1))
+    T = x.data.shape[-2]
+    pad = np.zeros(x.data.shape[:-2] + (K - 1, cin))
+    xp = np.concatenate([pad, x.data], axis=-2)
+    out = np.empty(x.data.shape[:-1] + (cout,))
+    out[...] = bias.data
     for k in range(K):
-        out += flat[k:k + n] @ kernel.data[k]
-    if lead:
-        # Row b*padded + t of the flat result is position t of example b.
-        out = np.lib.stride_tricks.as_strided(
-            out, lead + (T, cout), (padded * out.strides[0],) + out.strides)
+        out += xp[..., k:k + T, :] @ kernel.data[k]
 
     def bw(g, emit):
-        emit(bias, g.reshape(-1, cout).sum(axis=0))
-        if lead:
-            g_flat = np.zeros(lead + (padded, cout))
-            g_flat[:, :T] = g
-            g_flat = g_flat.reshape(-1, cout)[:n]
-        else:
-            g_flat = g
-        dk = np.empty_like(kernel.data)
-        for k in range(K):
-            dk[k] = flat[k:k + n].T @ g_flat
-        emit(kernel, dk)
-        dxp = np.zeros_like(flat)
-        for k in range(K):
-            dxp[k:k + n] += g_flat @ kernel.data[k].T
-        dxp = dxp.reshape(xp.shape)
-        emit(x, dxp[..., K - 1:, :] if K > 1 else dxp)
+        g_rows = g.reshape(-1, cout)
+        if bias.requires_grad:
+            emit(bias, g_rows.sum(axis=0))
+        if kernel.requires_grad:
+            emit(kernel, np.stack([xp[..., k:k + T, :].reshape(-1, cin).T @ g_rows
+                                   for k in range(K)]))
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for k in range(K):
+                dxp[..., k:k + T, :] += g @ kernel.data[k].T
+            emit(x, dxp[..., K - 1:, :])
 
     return _node(out, (x, kernel, bias), bw)
 
@@ -433,7 +424,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def bw(g, emit):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
+        # A 1-d index takes numpy's fast path; the additions keep their order.
+        np.add.at(dt, ids.ravel(), g.reshape((ids.size,) + dt.shape[1:]))
         emit(table, dt)
 
     return _node(table.data[ids], (table,), bw)
@@ -465,12 +457,13 @@ def stack(parts, axis: int = 0) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of the last axis."""
     def bw(g, emit):
         dx = np.zeros_like(x.data)
-        dx[:, start:stop] = g
+        dx[..., start:stop] = g
         emit(x, dx)
 
-    return _node(x.data[:, start:stop], (x,), bw)
+    return _node(x.data[..., start:stop], (x,), bw)
 
 
 def tile_rows(x: Tensor, n: int) -> Tensor:

@@ -265,6 +265,7 @@ def cmd_train(args) -> int:
         vocab, splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
         init_seed = _pop(values, "init_seed", int) if "init_seed" in values else None
         train_config = training.TrainConfig(**config_fields(training.TrainConfig, values))
+        manifest.data["seed"] = train_config.seed
         model_config = build_model_config(values, args.model, vocab.size, f_dim, g_dim, c_dim)
         if values:
             raise CliError(f"unknown config keys: {', '.join(sorted(values))}")

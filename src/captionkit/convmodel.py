@@ -10,7 +10,7 @@ forward serves step-by-step inference on growing prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,11 +130,19 @@ def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
 
 @dataclass
 class DecoderState:
-    """Per-layer diagnostics from one forward pass: when attention is
-    enabled, the [T, G*G] attention map of each layer (with a leading batch
-    axis for a batch forward); empty otherwise."""
+    """Tensors one forward pass leaves behind, with a leading batch axis for
+    a batch forward: the input ``ids`` and their embeddings ``words``, the
+    ``classifier_input`` that the output projection multiplies, the
+    ``logits``, and, when attention is enabled, the [T, G*G] attention map of
+    each layer. After a backward, the ``.grad`` of ``words`` and ``logits``
+    give each example's own gradients at the word-embedding table and the
+    output projection (see ``analysis.grad_norm_probe``)."""
 
-    attention_maps: list[np.ndarray] = field(default_factory=list)
+    ids: np.ndarray
+    words: Tensor
+    classifier_input: Tensor
+    logits: Tensor
+    attention_maps: list[np.ndarray]
 
 
 class CaptionModel:
@@ -166,8 +174,7 @@ class CaptionModel:
         """dropout -> relu -> linear on the global feature vector: [1, D] for
         one ImageFeatures, [B, 1, D] for a list of B (``rng`` is then a list
         of B generators)."""
-        rows = global_rows(features, self.config.feature_dim)
-        x = Tensor(rows if isinstance(features, ImageFeatures) else rows[:, None, :])
+        x = Tensor(global_rows(features, self.config.feature_dim))
         x = ad.dropout(x, self.config.dropout_p, rng, train_mode)
         return ad.add(ad.matmul(ad.relu(x), self.params["image_w"]), self.params["image_b"])
 
@@ -177,18 +184,21 @@ class CaptionModel:
         ``ids`` is the start-token-prefixed view: one sequence [T] with its
         ImageFeatures and an integer dropout ``seed``, or a batch [B, T] with
         a list of B ImageFeatures and a list of B seeds. Each example of a
-        batch draws its dropout masks from its own seed, exactly as it would
-        alone. Row i of an example's result is the distribution over the
-        token at position i+1 given tokens <= i and the image. Returns
-        (probs Tensor [T, vocab] or [B, T, vocab], DecoderState).
+        batch draws its dropout masks from its own seed, and every product is
+        issued per example, so its rows are bit-identical to a forward of
+        that example alone. No generator is built when dropout is off (in
+        evaluation mode, or with ``dropout_p`` 0). Row i of an example's
+        result is the distribution over the token at position i+1 given
+        tokens <= i and the image. Returns (probs Tensor [T, vocab] or
+        [B, T, vocab], DecoderState).
         """
         cfg = self.config
         ids = model_ids(ids, features)
         single = ids.ndim == 1
-        if single:
-            rng = ad.as_generator(seed)
-        elif not train_mode or cfg.dropout_p == 0.0:
+        if not train_mode or cfg.dropout_p == 0.0:
             rng = None  # dropout is the identity and draws nothing
+        elif single:
+            rng = ad.as_generator(seed)
         elif np.ndim(seed) != 1 or len(seed) != ids.shape[0]:
             raise ValueError(f"a batch of {ids.shape[0]} needs one dropout seed per example")
         else:
@@ -212,7 +222,7 @@ class CaptionModel:
         image = self.embed_image(features, train_mode, rng)
         h = ad.concat((words, ad.tile_rows(image, steps)), axis=-1)
 
-        state = DecoderState()
+        attention_maps = []
         for layer in range(cfg.num_layers):
             x = ad.dropout(h, cfg.dropout_p, rng, train_mode)
             conv = ad.causal_conv1d(x, self._conv_kernel(layer), self.params[f"conv{layer}_bias"])
@@ -220,7 +230,7 @@ class CaptionModel:
             out = d
             if cfg.attention:
                 context, amap = attend(d, spatial, self.params[f"attn{layer}_w"])
-                state.attention_maps.append(amap.data)
+                attention_maps.append(amap.data)
                 out = ad.add(out, context)
             if cfg.residual and layer > 0:
                 out = ad.add(out, h)
@@ -228,7 +238,13 @@ class CaptionModel:
 
         bottleneck = ad.add(ad.matmul(h, self.params["bottleneck_w"]), self.params["bottleneck_b"])
         logits = ad.add(ad.matmul(bottleneck, self.params["output_w"]), self.params["output_b"])
+        state = DecoderState(ids, words, bottleneck, logits, attention_maps)
         return ad.softmax(logits, axis=-1), state
+
+    def readouts(self, state: DecoderState) -> list[DecoderState]:
+        """The forward's uses of the word embedding and the output
+        projection, in the order backward reaches them: one parallel pass."""
+        return [state]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         """Evaluation-mode probabilities as a plain array (decoders use this)."""

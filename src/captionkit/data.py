@@ -236,14 +236,15 @@ def model_ids(ids, features) -> np.ndarray:
 
 
 def global_rows(features, feature_dim: int) -> np.ndarray:
-    """Global feature vectors as rows: [1, F] for one ImageFeatures, [B, F]
-    for a list of B, checked against the configured dimension F."""
+    """Global feature vectors as one-row inputs: [1, F] for one
+    ImageFeatures, [B, 1, F] for a list of B, checked against the configured
+    dimension F."""
     if isinstance(features, ImageFeatures):
         rows = features.global_vec.reshape(1, -1)
     else:
-        rows = np.stack([f.global_vec for f in features])
-    if rows.shape[1] != feature_dim:
-        raise ShapeError(f"global feature dim {rows.shape[1]} != configured {feature_dim}")
+        rows = np.stack([f.global_vec.reshape(1, -1) for f in features])
+    if rows.shape[-1] != feature_dim:
+        raise ShapeError(f"global feature dim {rows.shape[-1]} != configured {feature_dim}")
     if not np.all(np.isfinite(rows)):
         raise InvalidFeatureError("global feature contains non-finite values")
     return rows

@@ -34,8 +34,20 @@ class LstmConfig:
 
 @dataclass
 class LstmState:
-    hidden: Tensor  # [B, H]; B = 1 for a single example
-    memory: Tensor  # [B, H]
+    """The cell state after a step: [1, H] for one example, [B, 1, H] for a
+    batch. A state made by ``step`` also keeps that step's token ``ids``,
+    their embeddings ``words`` and its ``logits``; ``hidden`` is the input
+    of the output projection."""
+
+    hidden: Tensor
+    memory: Tensor
+    ids: np.ndarray | None = None
+    words: Tensor | None = None
+    logits: Tensor | None = None
+
+    @property
+    def classifier_input(self) -> Tensor:
+        return self.hidden
 
 
 def _shapes(config: LstmConfig):
@@ -86,20 +98,23 @@ class LstmModel:
         return self.params["output_w"]
 
     def init_state(self, features) -> LstmState:
-        """h0 = linear(relu(global feature)), m0 = 0; one row per image for
-        one ImageFeatures or a list of them."""
+        """h0 = linear(relu(global feature)), m0 = 0: [1, H] for one
+        ImageFeatures, [B, 1, H] for a list of B."""
         x = ad.relu(Tensor(global_rows(features, self.config.feature_dim)))
         h0 = ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
         return LstmState(hidden=h0, memory=Tensor(np.zeros(h0.data.shape)))
 
     def step(self, state: LstmState, token_ids):
         """One cell update conditioned on (state, tokens); returns (state',
-        probs). ``token_ids`` is one id per state row: a single id for a
-        [1, H] state, B ids for a [B, H] state. probs are [B, vocab]."""
+        probs). ``token_ids`` is one id per example: a single id for a [1, H]
+        state, B ids for a [B, 1, H] state. probs are [1, vocab] or
+        [B, 1, vocab]. Every product of a batch step is a one-row product
+        per example, as in a step of that example alone."""
         h = self.config.hidden_dim
-        emb = ad.embedding_lookup(self.params["word_embedding"], np.atleast_1d(token_ids))
+        ids = np.reshape(token_ids, state.hidden.data.shape[:-1])
+        emb = ad.embedding_lookup(self.params["word_embedding"], ids)
         z = ad.add(
-            ad.matmul(ad.concat((emb, state.hidden), axis=1), self.params["gates_w"]),
+            ad.matmul(ad.concat((emb, state.hidden), axis=-1), self.params["gates_w"]),
             self.params["gates_b"],
         )
         gate_in = ad.sigmoid(ad.slice_cols(z, 0, h))
@@ -109,24 +124,32 @@ class LstmModel:
         memory = ad.add(ad.mul(gate_forget, state.memory), ad.mul(gate_in, candidate))
         hidden = ad.mul(gate_out, ad.tanh(memory))
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
-        return LstmState(hidden, memory), ad.softmax(logits, axis=-1)
+        return LstmState(hidden, memory, ids, emb, logits), ad.softmax(logits, axis=-1)
 
     def forward(self, ids, features, train_mode: bool = False, seed=0):
         """Sequential unroll over input-view ids: one sequence [T] with its
         ImageFeatures gives [T, vocab] probs; a batch [B, T] with a list of B
-        ImageFeatures steps all B examples together and gives [B, T, vocab].
+        ImageFeatures steps all B examples together and gives [B, T, vocab],
+        each example's rows bit-identical to its own unroll. Returns (probs,
+        the list of per-step states).
 
         train_mode/seed are accepted for interface parity with the
         convolutional model; the baseline uses no dropout.
         """
         ids = model_ids(ids, features)
         state = self.init_state(features)
+        states = []
         rows = []
         for t in range(ids.shape[-1]):
             state, probs = self.step(state, ids[..., t])
+            states.append(state)
             rows.append(probs)
-        probs = ad.concat(rows, axis=0) if ids.ndim == 1 else ad.stack(rows, axis=1)
-        return probs, state
+        return ad.concat(rows, axis=ids.ndim - 1), states
+
+    def readouts(self, states: list[LstmState]) -> list[LstmState]:
+        """The forward's uses of the word embedding and the output
+        projection, in the order backward reaches them: last step first."""
+        return states[::-1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         probs, _ = self.forward(ids, features, train_mode=False)

@@ -29,7 +29,7 @@ class TrainConfig:
     decay_factor: float = 0.1
     decay_period: int = 15
     epochs: int = 30
-    batch_size: int = 32
+    batch_size: int = analysis.BATCH_SIZE
     rms_alpha: float = 0.99
     rms_epsilon: float = 1e-8
     seed: int = 0
@@ -122,7 +122,9 @@ def train(
     Each minibatch is one batched forward and one backward of the batch's
     ``nll_loss``, the mean of its examples' losses. Every example still gets
     its own dropout seed, drawn in shuffle order, so its masks are the ones a
-    forward of that example alone would draw.
+    forward of that example alone would draw. The per-epoch probe
+    (``analysis.grad_norm_probe``) runs in chunks of at most ``batch_size``
+    examples, so its graphs are no larger than an update's.
 
     Fully deterministic for a given seed: each epoch's shuffle and dropout
     noise derive from (seed, epoch), so a resumed run replays the same epoch
@@ -167,13 +169,15 @@ def train(
                                  result.loss_stats))
             optimizer.step(lr)
 
-        records = [analysis.grad_norm_probe(model, train_probe).record(epoch, "train")]
+        records = [analysis.grad_norm_probe(model, train_probe, config.batch_size)
+                   .record(epoch, "train")]
         evaluate = val_examples and (
             (epoch - start_epoch + 1) % config.eval_cadence == 0
             or epoch == start_epoch + config.epochs - 1
         )
         if evaluate:
-            val_record = analysis.grad_norm_probe(model, val_probe).record(epoch, "val")
+            val_record = analysis.grad_norm_probe(model, val_probe, config.batch_size).record(
+                epoch, "val")
             records.append(val_record)
             if val_record.loss < result.best_val_loss:
                 result.best_val_loss = val_record.loss

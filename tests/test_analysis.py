@@ -284,8 +284,44 @@ class TestMeasurementPass:
         monkeypatch.setattr(ad, "backward", counting("backward", ad.backward))
         train(model, examples[:4], examples[4:], TrainConfig(epochs=1, batch_size=2, probe_size=3))
         # Updates: one forward and one backward per minibatch of 2. Probes:
-        # 3 train and 2 val examples.
-        assert calls == {"forward": 2 + 3 + 2, "backward": 2 + 3 + 2}
+        # one per chunk of at most batch_size examples, so the 3 train probe
+        # examples make two chunks and the 2 val examples one.
+        assert calls == {"forward": 2 + 2 + 1, "backward": 2 + 2 + 1}
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_batched_totals_equal_a_per_example_loop(self, kind):
+        model, examples = _probe_setup(kind)
+        nll = hits = entropy = rows = 0.0
+        for ex in examples:
+            n = ex.seq.valid_len
+            probs = model.forward_probs(ex.seq.input_ids, ex.features)[:n]
+            targets = ex.seq.target_ids[:n]
+            nll += -np.log(np.maximum(probs[np.arange(n), targets], 1e-12)).mean()
+            hits += int((probs.argmax(axis=-1) == targets).sum())
+            logs = np.log(np.where(probs > 0, probs, 1.0))
+            entropy += float(-np.where(probs > 0, probs * logs, 0.0).sum(axis=-1).sum())
+            rows += n
+        probe = analysis.grad_norm_probe(model, examples)
+        assert (probe.loss, probe.accuracy, probe.entropy) == (
+            nll / len(examples), hits / rows, entropy / rows)
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_result_is_the_same_at_every_chunk_size(self, kind):
+        model, examples = _probe_setup(kind)
+        results = [analysis.grad_norm_probe(model, examples, size)
+                   for size in (1, 2, 3, len(examples))]
+        assert all(result == results[0] for result in results[1:])
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_nan_reached_by_one_example_is_flagged(self, kind):
+        model, examples = _probe_setup(kind)
+        uses = [set(ex.seq.input_ids[: ex.seq.valid_len].tolist()) for ex in examples]
+        token, owner = next((tok, i) for i, used in enumerate(uses) for tok in sorted(used)
+                            if sum(tok in other for other in uses) == 1)
+        model.word_embedding.data[token] = np.nan
+        assert not analysis.grad_norm_probe(model, examples).finite
+        others = examples[:owner] + examples[owner + 1:]
+        assert analysis.grad_norm_probe(model, others).finite
 
     def test_record_carries_every_field(self):
         model, examples = _probe_setup("lstm")

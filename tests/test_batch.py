@@ -85,6 +85,32 @@ class TestBatchedOps:
         weighted_fd_check(lambda a, b: ad.stack((a, b), axis=1),
                           [self.rng.normal(size=(3, 4)), self.rng.normal(size=(3, 4))])
 
+    def test_matmul_stacked_one_row_products(self):
+        # [B, 1, C] @ [C, D]: the one-row products of the LSTM and the image
+        # embedding, forward and the stacked a-gradient.
+        weighted_fd_check(ad.matmul, [self.rng.normal(size=(3, 1, 4)), self.rng.normal(size=(4, 5))])
+
+    def test_slice_cols_last_axis(self):
+        x = self.rng.normal(size=(2, 1, 6))
+        assert np.array_equal(ad.slice_cols(t(x), 2, 5).data, x[..., 2:5])
+        weighted_fd_check(lambda a: ad.slice_cols(a, 2, 5), [x])
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_causal_conv1d_batch_equals_examples_exactly(self, K):
+        x = self.rng.normal(size=(4, 5, 3))
+        kernel = t(self.rng.normal(size=(K, 3, 4)))
+        bias = t(self.rng.normal(size=4))
+        xb = t(x)
+        out = ad.causal_conv1d(xb, kernel, bias)
+        g = self.rng.normal(size=out.data.shape)
+        ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))
+        for b in range(4):
+            xs = t(x[b])
+            single = ad.causal_conv1d(xs, kernel, bias)
+            ad.backward(ad.sum_all(ad.mul(single, t(g[b], grad=False))))
+            assert np.array_equal(out.data[b], single.data)
+            assert np.array_equal(xb.grad[b], xs.grad)
+
     def test_dropout_masks_follow_each_example_stream(self):
         x = self.rng.normal(size=(3, 4, 5))
         batched = ad.dropout(t(x), 0.3, [11, 12, 13], True).data
@@ -212,3 +238,63 @@ def test_train_epoch_with_ragged_last_batch_matches_per_example_loop(kind):
     reference_epoch(reference, examples, config)
     for name, p in model.params.items():
         assert np.allclose(p.data, reference.params[name].data, rtol=1e-9, atol=1e-12), name
+
+
+def test_lstm_batch_step_gradient():
+    model, examples = model_and_examples("lstm", n=3)
+    feats = [ex.features for ex in examples]
+    ids = np.array([2, 5, 3])
+    targets = np.array([4, 1, 6])
+    weights = np.array([0.5, -1.0, 2.0])
+
+    def loss_value():
+        _, probs = model.step(model.init_state(feats), ids)
+        return float((np.log(probs.data[np.arange(3), 0, targets]) * weights).sum())
+
+    state = model.init_state(feats)
+    assert state.hidden.data.shape == (3, 1, 7)
+    new_state, probs = model.step(state, ids)
+    assert new_state.hidden.data.shape == (3, 1, 7)
+    assert probs.data.shape == (3, 1, model.config.vocab_size)
+    picked = ad.pick(probs, targets[:, None])
+    ad.backward(ad.sum_all(ad.mul(ad.log(picked), t(weights[:, None], grad=False))))
+    for name, tensor in model.params.items():
+        fd = finite_difference(loss_value, [tensor.data])[0]
+        assert_grads_close(tensor.grad, fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_batch_probabilities_equal_per_example_forwards_exactly(kind, train_mode, size):
+    model, examples = model_and_examples(kind)
+    examples = examples[:size]
+    seeds = [101, 7, 55, 3, 89][:size]
+    batched, _ = model.forward(*batch_inputs(examples), train_mode=train_mode, seed=seeds)
+    for b, (ex, seed) in enumerate(zip(examples, seeds)):
+        single, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=train_mode, seed=seed)
+        assert np.array_equal(batched.data[b], single.data), b
+
+
+# The products the models issue at the bench shapes (width 64, vocabulary
+# 28, 96-wide global features, a 4x4 grid): (rows C, columns D) of each
+# right operand, forward and as the transposed operand of a backward.
+BENCH_PRODUCTS = [(96, 64), (128, 128), (64, 128), (64, 64), (64, 16), (16, 64),
+                  (64, 28), (128, 256), (28, 64), (256, 128), (128, 64)]
+
+
+@pytest.mark.parametrize("B", [32, 64])
+@pytest.mark.parametrize("T", [1, 9])
+@pytest.mark.parametrize("C,D", BENCH_PRODUCTS)
+def test_stacked_matmul_is_batch_invariant_at_bench_shapes(B, T, C, D):
+    """The numpy/BLAS property the batched ops rely on: a stacked product
+    equals each example's own product bit for bit, for a plain and for a
+    transposed right operand."""
+    rng = np.random.default_rng(C * D + T)
+    x = rng.normal(size=(B, T, C))
+    w = rng.normal(size=(C, D))
+    w_t = rng.normal(size=(D, C)).T
+    for right in (w, w_t):
+        stacked = np.matmul(x, right)
+        bad = [b for b in range(B) if not np.array_equal(stacked[b], x[b] @ right)]
+        assert not bad, f"np.matmul of {(B, T, C)} @ {(C, D)} differs from x[b] @ w at b={bad}"

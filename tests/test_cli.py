@@ -71,6 +71,17 @@ class TestSynth:
             "vocab.txt", "train.tsv", "val.tsv", "features.ccf", "scenes.json"
         }
 
+    def test_train_and_synth_manifests_record_int_seeds(self, tmp_path):
+        data_dir = make_data(tmp_path, seed=5)
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, TINY_CNN_CFG.replace("epochs = 2", "epochs = 1"))
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", cfg, "--out", out]) == 0
+        synth = json.loads((data_dir / "manifest.json").read_text())
+        train = json.loads((out / "manifest.json").read_text())
+        assert (synth["seed"], train["seed"]) == (5, 3)
+        assert type(synth["seed"]) is int and type(train["seed"]) is int
+
     def test_split_sizes(self, tmp_path):
         data_dir = make_data(tmp_path, scenes=20)
         assert len(read_caption_file(data_dir / "train.tsv")) == 16

@@ -79,6 +79,21 @@ class TestGreedy:
         assert seq.valid_len == 4
 
 
+    def test_eval_forwards_draw_no_generator(self, monkeypatch):
+        from captionkit import autodiff as ad
+
+        model, feats = tiny_model(dropout_p=0.3)
+        want = dec.greedy_decode(model, feats)
+
+        def no_generator(rng):
+            raise AssertionError("an evaluation forward built a generator")
+
+        monkeypatch.setattr(ad, "as_generator", no_generator)
+        model.forward([START_ID, 2, 3], feats, train_mode=False, seed=5)
+        model.forward(np.array([[START_ID, 2], [START_ID, 4]]), [feats, feats], seed=[1, 2])
+        assert np.array_equal(dec.greedy_decode(model, feats).target_ids, want.target_ids)
+
+
 class TestOverfitOracle:
     def test_greedy_reproduces_overfit_corpus_exactly(self):
         # 10 scenes, attention model, constant lr 1e-3: the loss passes
