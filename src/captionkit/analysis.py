@@ -244,39 +244,27 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
 
     The gradient norms are the L2 norms at the word-embedding table and at
     the output projection, averaged over the examples. Each example's
-    gradients are read out of the batch (Goodfellow, arXiv 1510.01799), from
-    the ``.grad`` of the model's readouts, with the products and sums of
-    that example's own backward in the same order. Batched products are
-    issued per example, so the result is bit-identical at any
-    ``batch_size``. Meanwhile only the word-embedding table is tracked, so
-    no parameter gradient is computed; ``requires_grad`` is restored and
-    ``grad`` cleared after. Non-finite gradients set ``finite`` to False
-    rather than raise, so a diverging run still produces a flagged record.
+    gradients come out of the batch's own backward (per-example gradients
+    as in Goodfellow, arXiv 1510.01799; see ``_probe_chunk``), made by the
+    same products and sums as that example's own backward, so the result is
+    bit-identical at any ``batch_size``. The caller's model, its parameters
+    and their gradients are left as they were. Non-finite gradients set
+    ``finite`` to False rather than raise, so a diverging run still produces
+    a flagged record.
     """
-    params = model.parameters()
-    tracked = {name: p.requires_grad for name, p in params.items()}
-    # Tracking the word embedding alone still takes the backward through
-    # every activation.
-    for p in params.values():
-        p.requires_grad = p is model.word_embedding
     totals = _Totals()
     norm_in = 0.0
     norm_out = 0.0
     finite = True
-    try:
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo:lo + batch_size]
-            probs, g_in, g_out = _probe_chunk(model, chunk)
-            if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
-                finite = False
-            totals.add(probs, [ex.seq for ex in chunk])
-            for b in range(len(chunk)):
-                norm_in += float(np.linalg.norm(g_in[b]))
-                norm_out += float(np.linalg.norm(g_out[b]))
-    finally:
-        for name, p in params.items():
-            p.requires_grad = tracked[name]
-            p.grad = None
+    for lo in range(0, len(examples), batch_size):
+        chunk = examples[lo:lo + batch_size]
+        probs, g_in, g_out = _probe_chunk(model, chunk)
+        if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
+            finite = False
+        totals.add(probs, [ex.seq for ex in chunk])
+        for b in range(len(chunk)):
+            norm_in += float(np.linalg.norm(g_in[b]))
+            norm_out += float(np.linalg.norm(g_out[b]))
     n = len(examples)
     return ProbeResult(totals.loss, totals.accuracy, totals.entropy,
                        norm_in / n, norm_out / n, finite)
@@ -285,30 +273,30 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
 def _probe_chunk(model, chunk):
     """One batched forward and backward of a probe chunk. Returns its
     probabilities and each example's gradients at the word-embedding table
-    and at the output projection, as plain [B, ...] arrays, so the chunk's
-    graph is freed before the next chunk's is built."""
+    and at the output projection, as [B, ...] arrays.
+
+    The forward runs on a view of the model's parameters: each is an
+    untracked tensor over the same array, except those two, which become
+    tracked per-example copies ``[B, ...]`` (broadcast, nothing copied).
+    Example b reads only copy b, so the backward leaves its gradients in
+    ``.grad[b]``, and no other parameter gradient is computed.
+    """
     seqs = [ex.seq for ex in chunk]
-    probs, state = model.forward(np.stack([seq.input_ids for seq in seqs]),
+    params = model.params
+    per_example = (model.word_embedding, model.output_projection)
+    model.params = {
+        name: Tensor(np.broadcast_to(p.data, (len(chunk),) + p.shape), requires_grad=True)
+        if p in per_example else Tensor(p.data)
+        for name, p in params.items()
+    }
+    try:
+        table, projection = model.word_embedding, model.output_projection
+        probs, _ = model.forward(np.stack([seq.input_ids for seq in seqs]),
                                  [ex.features for ex in chunk], train_mode=False)
+    finally:
+        model.params = params
     ad.backward(nll_loss(probs, seqs, batch_mean=False))
-    # Each example's terms are the products and sums its own backward would
-    # make, in the same order (np.add.at applies its additions in index
-    # order).
-    readouts = model.readouts(state)
-    g_in = np.zeros((len(chunk),) + model.word_embedding.data.shape)
-    np.add.at(g_in, (np.arange(len(chunk))[:, None],
-                     np.concatenate([r.ids for r in readouts], axis=1)),
-              np.concatenate([r.words.grad for r in readouts], axis=1))
-    g_out = None
-    for r in readouts:
-        x = r.classifier_input.data.swapaxes(-1, -2)
-        # A product over one row is exactly the elementwise product.
-        term = x * r.logits.grad if x.shape[-1] == 1 else x @ r.logits.grad
-        if g_out is None:
-            g_out = term
-        else:
-            g_out += term
-    return probs.data, g_in, g_out
+    return probs.data, table.grad, projection.grad
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ operands and a backward closure, so the executed-operation graph lives on the
 result tensors themselves (no global tape, no shared state between independent
 computations). :func:`backward` on a scalar loss walks that graph once, in
 reverse topological order, and sums gradient contributions into every
-participating tensor with ``requires_grad`` set. Gradients keep accumulating
-across repeated backward calls until explicitly cleared, which is what a
-training loop wants and what makes accumulation testable.
+tracked leaf, a tensor with ``requires_grad`` set that no operation made.
+Op results pass their gradient on and keep ``grad`` at ``None``. A leaf's
+gradients keep accumulating across repeated backward calls until explicitly
+cleared, which is what a training loop wants and what makes accumulation
+testable.
 
 Everything is float64; speed at the intended problem sizes is irrelevant next
 to being able to verify every gradient against finite differences.
@@ -71,8 +73,8 @@ class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
     ``grad`` is ``None`` until a backward pass deposits a contribution; a
-    tensor that never participates in a loss simply keeps ``None``, which
-    readers treat as zero.
+    leaf that never participates in a loss, and every op result, simply
+    keeps ``None``, which readers treat as zero.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
@@ -125,7 +127,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into every participating tensor.
+    """Accumulate d(loss)/d(leaf) into the ``grad`` of every tracked leaf
+    the loss depends on; op results store no gradient.
 
     Contributions from all uses of a tensor are summed; calling backward
     twice on the same graph therefore doubles the stored gradients.
@@ -148,8 +151,9 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(t, None)
         if g is None:
             continue
-        t.grad = np.array(g) if t.grad is None else t.grad + g
-        if t._bw is not None:
+        if t._bw is None:
+            t.grad = np.array(g) if t.grad is None else t.grad + g
+        else:
             t._bw(g, emit)
 
 
@@ -415,20 +419,32 @@ def dropout(x: Tensor, p: float, rng, train_mode: bool) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of ``table`` selected by integer ids; equals one-hot @ table."""
+    """Rows of ``table`` selected by integer ids; equals one-hot @ table.
+
+    ``table`` is [V, D], or a per-example table [B, V, D] with ids [B, ...],
+    where example b reads ``table[b]``. Each example's rows and table
+    gradient are then bit-identical to a lookup in its own [V, D] table.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    vocab = table.data.shape[0]
+    vocab, dim = table.data.shape[-2:]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         bad = int(ids[(ids < 0) | (ids >= vocab)][0])
         raise OutOfVocabularyError(f"token id {bad} outside table of size {vocab}")
+    index = rows = ids
+    if table.data.ndim == 3:
+        if ids.shape[:1] != table.data.shape[:1]:
+            raise ShapeError(f"embedding_lookup: ids {ids.shape} for a table {table.data.shape}")
+        example = np.arange(ids.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
+        index = (example, ids)
+        rows = example * vocab + ids  # row of the table flattened to [B*V, D]
 
     def bw(g, emit):
-        dt = np.zeros_like(table.data)
+        dt = np.zeros(table.data.shape)
         # A 1-d index takes numpy's fast path; the additions keep their order.
-        np.add.at(dt, ids.ravel(), g.reshape((ids.size,) + dt.shape[1:]))
+        np.add.at(dt.reshape(-1, dim), rows.ravel(), g.reshape(ids.size, dim))
         emit(table, dt)
 
-    return _node(table.data[ids], (table,), bw)
+    return _node(table.data[index], (table,), bw)
 
 
 def concat(parts, axis: int = 1) -> Tensor:

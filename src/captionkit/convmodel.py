@@ -130,18 +130,10 @@ def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
 
 @dataclass
 class DecoderState:
-    """Tensors one forward pass leaves behind, with a leading batch axis for
-    a batch forward: the input ``ids`` and their embeddings ``words``, the
-    ``classifier_input`` that the output projection multiplies, the
-    ``logits``, and, when attention is enabled, the [T, G*G] attention map of
-    each layer. After a backward, the ``.grad`` of ``words`` and ``logits``
-    give each example's own gradients at the word-embedding table and the
-    output projection (see ``analysis.grad_norm_probe``)."""
+    """What one forward pass leaves behind: when attention is enabled, the
+    [T, G*G] attention map of each layer, with a leading batch axis for a
+    batch forward."""
 
-    ids: np.ndarray
-    words: Tensor
-    classifier_input: Tensor
-    logits: Tensor
     attention_maps: list[np.ndarray]
 
 
@@ -238,13 +230,7 @@ class CaptionModel:
 
         bottleneck = ad.add(ad.matmul(h, self.params["bottleneck_w"]), self.params["bottleneck_b"])
         logits = ad.add(ad.matmul(bottleneck, self.params["output_w"]), self.params["output_b"])
-        state = DecoderState(ids, words, bottleneck, logits, attention_maps)
-        return ad.softmax(logits, axis=-1), state
-
-    def readouts(self, state: DecoderState) -> list[DecoderState]:
-        """The forward's uses of the word embedding and the output
-        projection, in the order backward reaches them: one parallel pass."""
-        return [state]
+        return ad.softmax(logits, axis=-1), DecoderState(attention_maps)
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         """Evaluation-mode probabilities as a plain array (decoders use this)."""

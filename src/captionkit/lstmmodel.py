@@ -35,19 +35,10 @@ class LstmConfig:
 @dataclass
 class LstmState:
     """The cell state after a step: [1, H] for one example, [B, 1, H] for a
-    batch. A state made by ``step`` also keeps that step's token ``ids``,
-    their embeddings ``words`` and its ``logits``; ``hidden`` is the input
-    of the output projection."""
+    batch."""
 
     hidden: Tensor
     memory: Tensor
-    ids: np.ndarray | None = None
-    words: Tensor | None = None
-    logits: Tensor | None = None
-
-    @property
-    def classifier_input(self) -> Tensor:
-        return self.hidden
 
 
 def _shapes(config: LstmConfig):
@@ -124,32 +115,25 @@ class LstmModel:
         memory = ad.add(ad.mul(gate_forget, state.memory), ad.mul(gate_in, candidate))
         hidden = ad.mul(gate_out, ad.tanh(memory))
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
-        return LstmState(hidden, memory, ids, emb, logits), ad.softmax(logits, axis=-1)
+        return LstmState(hidden, memory), ad.softmax(logits, axis=-1)
 
     def forward(self, ids, features, train_mode: bool = False, seed=0):
         """Sequential unroll over input-view ids: one sequence [T] with its
         ImageFeatures gives [T, vocab] probs; a batch [B, T] with a list of B
         ImageFeatures steps all B examples together and gives [B, T, vocab],
         each example's rows bit-identical to its own unroll. Returns (probs,
-        the list of per-step states).
+        the last state).
 
         train_mode/seed are accepted for interface parity with the
         convolutional model; the baseline uses no dropout.
         """
         ids = model_ids(ids, features)
         state = self.init_state(features)
-        states = []
         rows = []
         for t in range(ids.shape[-1]):
             state, probs = self.step(state, ids[..., t])
-            states.append(state)
             rows.append(probs)
-        return ad.concat(rows, axis=ids.ndim - 1), states
-
-    def readouts(self, states: list[LstmState]) -> list[LstmState]:
-        """The forward's uses of the word embedding and the output
-        projection, in the order backward reaches them: last step first."""
-        return states[::-1]
+        return ad.concat(rows, axis=ids.ndim - 1), state
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         probs, _ = self.forward(ids, features, train_mode=False)

@@ -129,8 +129,10 @@ def train(
     Fully deterministic for a given seed: each epoch's shuffle and dropout
     noise derive from (seed, epoch), so a resumed run replays the same epoch
     stream an uninterrupted run would (RMSProp accumulators restart on
-    resume). Per epoch this emits a train record and, per eval cadence, a val
-    record, both measured after the epoch's updates with dropout off; the
+    resume). Per epoch this emits a train record and, every
+    ``eval_cadence``-th epoch counted from epoch 0 and at the last epoch, a
+    val record, both measured after the epoch's updates with dropout off, so
+    a resumed run evaluates the epochs an uninterrupted one would; the
     best-validation-loss checkpoint is retained alongside the latest one.
     """
     if not train_examples:
@@ -172,7 +174,7 @@ def train(
         records = [analysis.grad_norm_probe(model, train_probe, config.batch_size)
                    .record(epoch, "train")]
         evaluate = val_examples and (
-            (epoch - start_epoch + 1) % config.eval_cadence == 0
+            (epoch + 1) % config.eval_cadence == 0
             or epoch == start_epoch + config.epochs - 1
         )
         if evaluate:

@@ -288,6 +288,44 @@ class TestMeasurementPass:
         # examples make two chunks and the 2 val examples one.
         assert calls == {"forward": 2 + 2 + 1, "backward": 2 + 2 + 1}
 
+    @staticmethod
+    def _model_snapshot(model):
+        # Mark each parameter's gradient and untrack one parameter, so that
+        # a probe that touched either would show.
+        model.params["image_b"].requires_grad = False
+        for p in model.params.values():
+            p.grad = np.full(p.data.shape, 7.0)
+        return model.params, [(name, p, p.data, p.data.copy(), p.requires_grad, p.grad)
+                              for name, p in model.params.items()]
+
+    @staticmethod
+    def _assert_unchanged(model, snapshot):
+        params, entries = snapshot
+        assert model.params is params
+        assert [name for name, *_ in entries] == list(params)
+        for name, p, data, values, requires_grad, grad in entries:
+            assert params[name] is p and p.data is data, name
+            assert np.array_equal(p.data, values), name
+            assert p.requires_grad == requires_grad and p.grad is grad, name
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_probe_leaves_the_model_as_it_found_it(self, kind):
+        model, examples = _probe_setup(kind)
+        snapshot = self._model_snapshot(model)
+        analysis.grad_norm_probe(model, examples, batch_size=4)
+        self._assert_unchanged(model, snapshot)
+
+    def test_probe_leaves_the_model_as_it_found_it_when_a_forward_raises(self):
+        model, examples = _probe_setup("cnn")
+        # The second chunk has no spatial grids, which the attention model needs.
+        examples = examples[:3] + [
+            Example(ex.image_id, ex.seq, ImageFeatures(ex.features.global_vec))
+            for ex in examples[3:]]
+        snapshot = self._model_snapshot(model)
+        with pytest.raises(cm.MissingFeatureError):
+            analysis.grad_norm_probe(model, examples, batch_size=3)
+        self._assert_unchanged(model, snapshot)
+
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_batched_totals_equal_a_per_example_loop(self, kind):
         model, examples = _probe_setup(kind)

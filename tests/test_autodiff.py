@@ -297,6 +297,13 @@ class TestBackward:
         ad.backward(loss)
         assert np.array_equal(x.grad, [[5.0]])
 
+    def test_op_results_store_no_gradient(self):
+        x = t(np.array([[2.0, -1.0]]))
+        hidden = ad.relu(x)
+        ad.backward(ad.sum_all(ad.mul(hidden, hidden)))
+        assert hidden.grad is None
+        assert np.array_equal(x.grad, [[4.0, 0.0]])
+
     def test_zero_gradients_helper(self):
         x = t(np.ones(3))
         ad.backward(ad.sum_all(x))

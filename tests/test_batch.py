@@ -111,6 +111,35 @@ class TestBatchedOps:
             assert np.array_equal(out.data[b], single.data)
             assert np.array_equal(xb.grad[b], xs.grad)
 
+    @pytest.mark.parametrize("ids", [[[4, 0, 4, 6], [1, 1, 1, 2], [6, 5, 6, 0]],
+                                     [[3], [3], [0]]])
+    def test_embedding_lookup_per_example_table_equals_examples_exactly(self, ids):
+        # [B, T] and [B, 1] ids, with repeats within and across examples.
+        ids = np.array(ids)
+        tables = self.rng.normal(size=(3, 7, 2))
+        table = t(tables)
+        out = ad.embedding_lookup(table, ids)
+        g = self.rng.normal(size=out.data.shape)
+        ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))
+        for b in range(3):
+            single_table = t(tables[b])
+            single = ad.embedding_lookup(single_table, ids[b])
+            ad.backward(ad.sum_all(ad.mul(single, t(g[b], grad=False))))
+            assert np.array_equal(out.data[b], single.data)
+            assert np.array_equal(table.grad[b], single_table.grad)
+
+    def test_embedding_lookup_per_example_table(self):
+        ids = np.array([[2, 0, 2], [1, 3, 3]])
+        weighted_fd_check(lambda table: ad.embedding_lookup(table, ids),
+                          [self.rng.normal(size=(2, 4, 3))])
+
+    def test_embedding_lookup_per_example_table_bounds_ids_by_vocab(self):
+        # Two examples of a 5-row table: id 4 is in range, id 5 is not.
+        table = t(np.zeros((2, 5, 3)))
+        assert ad.embedding_lookup(table, [[4], [0]]).data.shape == (2, 1, 3)
+        with pytest.raises(ad.OutOfVocabularyError, match="id 5 outside table of size 5"):
+            ad.embedding_lookup(table, [[0], [5]])
+
     def test_dropout_masks_follow_each_example_stream(self):
         x = self.rng.normal(size=(3, 4, 5))
         batched = ad.dropout(t(x), 0.3, [11, 12, 13], True).data

@@ -199,6 +199,18 @@ class TestTrainLoop:
                  log=lambda line: seen.append(line))
         assert "lr 5e-06" in seen[0]
 
+    def test_resumed_run_evaluates_the_epochs_of_an_uninterrupted_one(self):
+        model, examples, _ = synth_setup()
+
+        def evaluated(epochs, start_epoch=0):
+            cfg = tr.TrainConfig(epochs=epochs, eval_cadence=2, probe_size=4)
+            result = tr.train(model, examples[:8], examples[8:], cfg, start_epoch=start_epoch)
+            return [r.epoch for r in result.history if r.split == "val"]
+
+        assert evaluated(4) == [1, 3]
+        assert evaluated(1) == [0]  # the last epoch is always evaluated
+        assert evaluated(3, start_epoch=1) == [1, 3]
+
     def test_non_finite_probe_is_flagged(self):
         # The <UNK> embedding row is NaN and only the validation captions
         # contain an unknown word: training stays finite, the val probe not.
