@@ -43,7 +43,6 @@ __all__ = [
     "dropout",
     "embedding_lookup",
     "concat",
-    "stack",
     "slice_cols",
     "tile_rows",
     "transpose",
@@ -459,17 +458,6 @@ def concat(parts, axis: int = 1) -> Tensor:
             emit(p, g[tuple(idx)])
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
-
-
-def stack(parts, axis: int = 0) -> Tensor:
-    """Join equal-shape tensors along a new axis."""
-    parts = tuple(parts)
-
-    def bw(g, emit):
-        for i, p in enumerate(parts):
-            emit(p, np.take(g, i, axis=axis))
-
-    return _node(np.stack([p.data for p in parts], axis=axis), parts, bw)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

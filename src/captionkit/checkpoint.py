@@ -105,6 +105,9 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
         ) from exc
     if entries != list(parameter_shapes(config).items()):
         raise CheckpointError(f"{path}: parameter table at offset 12 does not match the config")
+    if vocab is not None and vocab.size != config.vocab_size:
+        raise CheckpointError(f"{path}: vocabulary at offset 12 has {vocab.size} tokens, "
+                              f"config vocab_size is {config.vocab_size}")
 
     if expect_config is not None and config != expect_config:
         stored, expected = asdict(config), asdict(expect_config)

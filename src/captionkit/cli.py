@@ -314,7 +314,7 @@ def cmd_caption(args) -> int:
     ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
         features = read_features(args.features)
-        limit = args.max_steps or loaded.model.config.max_steps
+        limit = loaded.model.config.max_steps if args.max_steps is None else args.max_steps
         lines = []
         for image_id, feat in features.items():
             ranked = decoding.beam_search(loaded.model, feat, max_steps=limit,

@@ -77,16 +77,15 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str]):
         if tuple(tokens[:3]) != RESERVED:
-            tokens = list(RESERVED) + [t for t in tokens if t not in RESERVED]
+            raise FormatError("vocabulary does not start with the reserved tokens")
+        if len(set(tokens)) != len(tokens):
+            raise FormatError("vocabulary lists a token twice")
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
-
-    def __len__(self) -> int:
-        return self.size
 
     def encode_token(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -105,11 +104,10 @@ class Vocabulary:
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
         tokens = [line.rstrip("\n") for line in _text_lines(path) if line.rstrip("\n")]
-        if tuple(tokens[:3]) != RESERVED:
-            raise FormatError(f"vocabulary file {path} does not start with the reserved tokens")
-        if len(set(tokens)) != len(tokens):
-            raise FormatError(f"vocabulary file {path} lists a token twice")
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def build_vocab(captions, min_count: int = 1) -> Vocabulary:

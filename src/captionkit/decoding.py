@@ -40,15 +40,27 @@ def _next_distribution(model, prefix, features) -> np.ndarray:
     return model.forward_probs(ids, features)[-1]
 
 
-def greedy_decode(model, features, max_steps: int | None = None) -> TokenSeq:
-    """Argmax decoding; ties break to the lowest token id."""
+def _step_limit(model, max_steps: int | None) -> int:
     limit = model.config.max_steps if max_steps is None else max_steps
+    if limit < 1:
+        raise ValueError(f"max_steps must be >= 1, got {limit}")
+    return limit
+
+
+def greedy_decode(model, features, max_steps: int | None = None) -> TokenSeq:
+    """Argmax decoding, scored as beam search of width 1 scores: the running
+    log-probability plus log(max(p, 1e-300)). Ties break to the end token,
+    then to the lowest token id, so the result is exactly beam 1's."""
+    limit = _step_limit(model, max_steps)
     out: list[int] = []
+    logprob = 0.0
     for _ in range(limit):
         probs = _next_distribution(model, out, features)
-        token_id = int(probs.argmax())
-        if token_id == END_ID:
+        scores = logprob + np.log(np.maximum(probs, 1e-300))
+        token_id = int(scores.argmax())
+        if token_id == END_ID or scores[END_ID] == scores[token_id]:
             break
+        logprob = float(scores[token_id])
         out.append(token_id)
     return TokenSeq.from_token_ids(out, limit)
 
@@ -63,7 +75,7 @@ def sample_decode(model, features, max_steps: int | None = None,
         raise ValueError(f"temperature must be > 0, got {temperature}")
     if temperature < 1e-6:
         return greedy_decode(model, features, max_steps)
-    limit = model.config.max_steps if max_steps is None else max_steps
+    limit = _step_limit(model, max_steps)
     rng = np.random.default_rng(seed)
     out: list[int] = []
     for _ in range(limit):
@@ -103,7 +115,7 @@ def beam_search(model, features, max_steps: int | None = None,
             f"beam size {beam_size} exceeds vocabulary size {vocab_size}",
             stacklevel=2,
         )
-    limit = model.config.max_steps if max_steps is None else max_steps
+    limit = _step_limit(model, max_steps)
     live = [BeamHypothesis((), 0.0, False)]
     finished: list[BeamHypothesis] = []
     for _ in range(limit):

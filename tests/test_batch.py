@@ -81,10 +81,6 @@ class TestBatchedOps:
         assert np.array_equal(ad.pick(t(probs), ids).data,
                               [[probs[b, i, ids[b, i]] for i in range(3)] for b in range(2)])
 
-    def test_stack(self):
-        weighted_fd_check(lambda a, b: ad.stack((a, b), axis=1),
-                          [self.rng.normal(size=(3, 4)), self.rng.normal(size=(3, 4))])
-
     def test_matmul_stacked_one_row_products(self):
         # [B, 1, C] @ [C, D]: the one-row products of the LSTM and the image
         # embedding, forward and the stacked a-gradient.

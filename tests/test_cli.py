@@ -396,6 +396,22 @@ class TestCaptionEvalAnalyze:
         assert diversity[0] == "position,unique_count"
         assert len(diversity) == 14
 
+    @pytest.mark.parametrize("max_steps", [0, -2])
+    def test_caption_rejects_max_steps_below_one(self, tmp_path, capsys, max_steps):
+        data_dir = make_data(tmp_path, scenes=4)
+        vocab = Vocabulary.from_file(data_dir / "vocab.txt")
+        cfg = lm.LstmConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=4, max_steps=8,
+                            feature_dim=96)
+        ckpt = tmp_path / "fresh.ckpt"
+        save_checkpoint(ckpt, lm.init_params(cfg, 0), seed=0, epoch=0, vocab=vocab)
+        out_file = tmp_path / "caps" / "caps.txt"
+        assert run(["caption", "--ckpt", ckpt, "--features", data_dir / "features.ccf",
+                    "--max-steps", max_steps, "--out", out_file]) == 1
+        assert f"max_steps must be >= 1, got {max_steps}" in capsys.readouterr().err
+        manifest = json.loads((out_file.parent / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not out_file.exists()
+
     def test_analyze_two_checkpoints_need_distinct_kinds(self, tmp_path, trained, capsys):
         data_dir, ckpt = trained
         assert run(["analyze", "--ckpt", ckpt, "--ckpt2", ckpt,

@@ -49,6 +49,19 @@ class TestBuildVocab:
         vocab.to_file(path)
         assert data.Vocabulary.from_file(path) == vocab
 
+    @pytest.mark.parametrize("lines, match", [
+        (["a", "<S>", "<E>", "<UNK>"], "does not start with the reserved tokens"),
+        (["<S>", "<E>", "<UNK>", "a", "b", "a"], "lists a token twice"),
+    ])
+    def test_constructor_and_file_reject_the_same_lists(self, tmp_path, lines, match):
+        with pytest.raises(data.FormatError, match=match):
+            data.Vocabulary(lines)
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(data.FormatError, match=match) as caught:
+            data.Vocabulary.from_file(path)
+        assert str(path) in str(caught.value)
+
 
 class TestEncodeDecode:
     def test_round_trip_running_example(self):

@@ -3,6 +3,7 @@ import pytest
 
 from captionkit import convmodel as cm
 from captionkit import decoding as dec
+from captionkit import lstmmodel as lm
 from captionkit.data import END_ID, START_ID, ImageFeatures, TokenSeq
 
 
@@ -92,6 +93,39 @@ class TestGreedy:
         model.forward([START_ID, 2, 3], feats, train_mode=False, seed=5)
         model.forward(np.array([[START_ID, 2], [START_ID, 4]]), [feats, feats], seed=[1, 2])
         assert np.array_equal(dec.greedy_decode(model, feats).target_ids, want.target_ids)
+
+
+def fresh_model(kind):
+    """An untrained model with V = 7: its zero output layer makes every
+    next-token distribution uniform, so every step is an exact tie."""
+    if kind == "lstm":
+        config = lm.LstmConfig(vocab_size=7, embed_dim=4, hidden_dim=5, max_steps=4,
+                               feature_dim=5)
+        return lm.init_params(config, seed=0)
+    config = cm.ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=5, num_layers=2,
+                            kernel_widths=(2, 2), bottleneck_dim=3, max_steps=4,
+                            feature_dim=5)
+    return cm.init_params(config, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_exact_ties_end_the_caption_in_every_decoder(kind):
+    model = fresh_model(kind)
+    feats = ImageFeatures(np.linspace(-1.0, 1.0, 5))
+    (beam1, logprob), = dec.beam_search(model, feats, beam_size=1)
+    greedy = dec.greedy_decode(model, feats)
+    sampled = dec.sample_decode(model, feats, temperature=1e-9, seed=3)
+    for seq in (beam1, greedy, sampled):
+        assert seq.valid_len == 1
+        assert list(seq.target_ids) == [END_ID] * 5
+    assert logprob == pytest.approx(np.log(1 / 7), abs=1e-12)
+
+
+@pytest.mark.parametrize("decoder", [dec.greedy_decode, dec.sample_decode, dec.beam_search])
+def test_max_steps_below_one_rejected(decoder):
+    model, feats = tiny_model()
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
+        decoder(model, feats, max_steps=0)
 
 
 class TestOverfitOracle:

@@ -1,6 +1,8 @@
 """Truncated and bit-flipped files: every reader either loads the file or
 raises its module's declared error, never a decoder's or parser's own."""
 
+import json
+import struct
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from captionkit import convmodel as cm
 from captionkit import data
+from captionkit import lstmmodel as lm
 from captionkit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -109,3 +112,37 @@ def test_unknown_model_kind_names_the_kind(valid_files, tmp_path):
     path.write_bytes(blobs["ckpt"].replace(b'"kind": "cnn"', b'"kind": "gru"'))
     with pytest.raises(CheckpointError, match="unknown model kind 'gru'"):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def lstm_checkpoint(tmp_path_factory):
+    records, vocab = data.synth_corpus(16, seed=7, feature_dim=3, grid_size=2, spatial_channels=2)
+    assert vocab.size > 10
+    model = lm.init_params(lm.LstmConfig(vocab_size=vocab.size, embed_dim=2, hidden_dim=2,
+                                         max_steps=4, feature_dim=3), seed=0)
+    path = tmp_path_factory.mktemp("lstm") / "m.ckpt"
+    save_checkpoint(path, model, seed=0, epoch=0, vocab=vocab)
+    return path.read_bytes()
+
+
+def with_vocabulary(blob: bytes, edit) -> bytes:
+    """The checkpoint with its header's vocabulary replaced by ``edit(vocab)``."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + header_len])
+    header["vocab"] = edit(header["vocab"])
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len:]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda v: v[3:], "does not start with the reserved tokens"),
+    (lambda v: v[:-1] + [v[3]], "lists a token twice"),
+    (lambda v: v[:10], "vocabulary at offset 12 has 10 tokens"),
+], ids=["reserved_removed", "token_repeated", "ten_tokens"])
+def test_checkpoint_vocabulary_checked_like_a_vocabulary_file(lstm_checkpoint, tmp_path,
+                                                              edit, match):
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(with_vocabulary(lstm_checkpoint, edit))
+    with pytest.raises(CheckpointError, match=match) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
