@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,30 @@ MODEL_KINDS = {
     "cnn": (ModelConfig, CaptionModel, cm.parameter_shapes),
     "lstm": (LstmConfig, LstmModel, lm.parameter_shapes),
 }
+
+# A config field's declared type -> whether a header value has its JSON type.
+# A float field takes an integer too: ``json.dumps`` writes ``0`` for int 0.
+_JSON_TYPES = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(_JSON_TYPES["int"](k) for k in v),
+}
+
+
+def _header_config(config_cls, values):
+    """The config a header stores: exactly the dataclass's fields, each value
+    of the JSON type of the field's declared type."""
+    declared = {f.name: f.type for f in fields(config_cls)}
+    if not isinstance(values, dict):
+        raise CheckpointError(f"config is not a JSON object: {values!r}")
+    if values.keys() != declared.keys():
+        odd = ", ".join(sorted(declared.keys() ^ values.keys()))
+        raise CheckpointError(f"config fields differ from {config_cls.__name__} on {odd}")
+    for name, type_name in declared.items():
+        if not _JSON_TYPES[type_name](values[name]):
+            raise CheckpointError(f"config field {name} is not of type {type_name}: {values[name]!r}")
+    return config_cls(**values)
 
 
 @dataclass
@@ -95,7 +119,7 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
         if kind not in MODEL_KINDS:
             raise CheckpointError(f"unknown model kind {kind!r}")
         config_cls, model_cls, parameter_shapes = MODEL_KINDS[kind]
-        config = config_cls(**header["config"])
+        config = _header_config(config_cls, header["config"])
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         vocab = Vocabulary(header["vocab"]) if header["vocab"] else None
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

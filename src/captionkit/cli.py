@@ -314,10 +314,9 @@ def cmd_caption(args) -> int:
     ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
         features = read_features(args.features)
-        limit = loaded.model.config.max_steps if args.max_steps is None else args.max_steps
         lines = []
         for image_id, feat in features.items():
-            ranked = decoding.beam_search(loaded.model, feat, max_steps=limit,
+            ranked = decoding.beam_search(loaded.model, feat, max_steps=args.max_steps,
                                           beam_size=args.beam)
             for rank, (seq, logprob) in enumerate(ranked, 1):
                 caption = " ".join(decode(seq.target_ids, loaded.vocab))

@@ -76,6 +76,8 @@ class Vocabulary:
     """Bijective token<->id map with fixed reserved ids 0/1/2."""
 
     def __init__(self, tokens: list[str]):
+        if not all(isinstance(t, str) for t in tokens):
+            raise FormatError("vocabulary lists a token that is not a string")
         if tuple(tokens[:3]) != RESERVED:
             raise FormatError("vocabulary does not start with the reserved tokens")
         if len(set(tokens)) != len(tokens):

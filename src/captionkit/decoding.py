@@ -1,5 +1,6 @@
-"""Sequential caption inference: greedy argmax, temperature sampling, and
-beam search terminating on the end token or after max_steps tokens.
+"""Sequential caption inference: beam search terminating on the end token or
+after max_steps tokens, greedy decoding as its width-1 case, and temperature
+sampling.
 
 Each step recomputes the full forward over the start-token-prefixed prefix,
 which is trivially consistent with the teacher-forced parallel pass (the
@@ -10,29 +11,10 @@ All decoders are pure functions of (model, features, arguments, seed).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from captionkit.data import END_ID, START_ID, TokenSeq
-
-
-@dataclass(frozen=True)
-class BeamHypothesis:
-    """A partial decode: emitted tokens (end token excluded), the cumulative
-    log-probability of every choice made (end token included when finished),
-    and whether the hypothesis is frozen."""
-
-    token_ids: tuple[int, ...]
-    logprob: float
-    finished: bool
-
-    def extended(self, token_id: int, logp: float) -> "BeamHypothesis":
-        if self.finished:
-            raise ValueError("finished hypotheses are never extended")
-        if token_id == END_ID:
-            return BeamHypothesis(self.token_ids, self.logprob + logp, True)
-        return BeamHypothesis(self.token_ids + (token_id,), self.logprob + logp, False)
 
 
 def _next_distribution(model, prefix, features) -> np.ndarray:
@@ -48,21 +30,8 @@ def _step_limit(model, max_steps: int | None) -> int:
 
 
 def greedy_decode(model, features, max_steps: int | None = None) -> TokenSeq:
-    """Argmax decoding, scored as beam search of width 1 scores: the running
-    log-probability plus log(max(p, 1e-300)). Ties break to the end token,
-    then to the lowest token id, so the result is exactly beam 1's."""
-    limit = _step_limit(model, max_steps)
-    out: list[int] = []
-    logprob = 0.0
-    for _ in range(limit):
-        probs = _next_distribution(model, out, features)
-        scores = logprob + np.log(np.maximum(probs, 1e-300))
-        token_id = int(scores.argmax())
-        if token_id == END_ID or scores[END_ID] == scores[token_id]:
-            break
-        logprob = float(scores[token_id])
-        out.append(token_id)
-    return TokenSeq.from_token_ids(out, limit)
+    """Argmax decoding: beam search of width 1, ties included."""
+    return beam_search(model, features, max_steps, beam_size=1)[0][0]
 
 
 def sample_decode(model, features, max_steps: int | None = None,
@@ -100,37 +69,41 @@ def beam_search(model, features, max_steps: int | None = None,
     the end token freezes, keeping its beam slot and its end-token
     log-probability, and competes in the final ranking against the
     hypotheses still alive at the length cap. Scores are raw sums of word
-    log-probabilities (no length normalization). Returns up to ``beam_size``
+    log-probabilities (no length normalization); equal scores rank the end
+    token first, then the lower token ids. Returns up to ``beam_size``
     (TokenSeq, logprob) pairs, best first.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     vocab_size = model.config.vocab_size
     if beam_size > vocab_size:
-        # The live frontier can only branch |vocab| ways per step, so very
-        # wide beams fill up gradually; with beam_size >= vocab^steps the
-        # search degenerates to exhaustive enumeration, which is exactly what
-        # oracle tests want, so the width is honored rather than clamped.
-        warnings.warn(
-            f"beam size {beam_size} exceeds vocabulary size {vocab_size}",
-            stacklevel=2,
-        )
+        # Honored, not clamped: a wide beam fills up over several steps, and
+        # beam_size >= vocab^steps is the exhaustive search oracle tests use.
+        warnings.warn(f"beam size {beam_size} exceeds vocabulary size {vocab_size}",
+                      stacklevel=2)
     limit = _step_limit(model, max_steps)
-    live = [BeamHypothesis((), 0.0, False)]
-    finished: list[BeamHypothesis] = []
+    # Hypotheses are (emitted token ids, logprob) pairs. Each row lists the end
+    # token first and survivors are kept in index order, so the live prefixes
+    # stay in lexicographic order and a stable sort of the scores ranks
+    # candidates by (-logprob, token ids), as the final sort does.
+    order = np.array([END_ID, *range(END_ID), *range(END_ID + 1, vocab_size)])
+    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(limit):
-        candidates: list[BeamHypothesis] = []
-        for hyp in live:
-            probs = _next_distribution(model, hyp.token_ids, features)
-            logp = np.log(np.maximum(probs, 1e-300))
-            for token_id in range(vocab_size):
-                candidates.append(hyp.extended(token_id, float(logp[token_id])))
-        candidates.sort(key=lambda h: (-h.logprob, h.token_ids))
-        kept = candidates[:beam_size]
-        finished.extend(h for h in kept if h.finished)
-        live = [h for h in kept if not h.finished]
+        scores = np.concatenate([
+            logprob + np.log(np.maximum(_next_distribution(model, prefix, features), 1e-300))[order]
+            for prefix, logprob in live])
+        survivors = []
+        for index in sorted(np.argsort(-scores, kind="stable")[:beam_size].tolist()):
+            prefix = live[index // vocab_size][0]
+            token_id, logprob = int(order[index % vocab_size]), float(scores[index])
+            if token_id == END_ID:
+                finished.append((prefix, logprob))
+            else:
+                survivors.append((prefix + (token_id,), logprob))
+        live = survivors
         if not live:
             break
-    pool = finished + live  # survivors hit the length cap without <E>
-    pool.sort(key=lambda h: (-h.logprob, h.token_ids))
-    return [(TokenSeq.from_token_ids(h.token_ids, limit), h.logprob) for h in pool[:beam_size]]
+    # The live ones hit the length cap without <E>.
+    pool = sorted(finished + live, key=lambda h: (-h[1], h[0]))
+    return [(TokenSeq.from_token_ids(ids, limit), logprob) for ids, logprob in pool[:beam_size]]

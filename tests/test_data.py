@@ -49,6 +49,10 @@ class TestBuildVocab:
         vocab.to_file(path)
         assert data.Vocabulary.from_file(path) == vocab
 
+    def test_constructor_rejects_a_token_that_is_not_a_string(self):
+        with pytest.raises(data.FormatError, match="token that is not a string"):
+            data.Vocabulary(["<S>", "<E>", "<UNK>", "a", 4])
+
     @pytest.mark.parametrize("lines, match", [
         (["a", "<S>", "<E>", "<UNK>"], "does not start with the reserved tokens"),
         (["<S>", "<E>", "<UNK>", "a", "b", "a"], "lists a token twice"),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,48 @@ def test_exact_ties_end_the_caption_in_every_decoder(kind):
     assert logprob == pytest.approx(np.log(1 / 7), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+@pytest.mark.parametrize("beam_size", [2, 3])
+def test_exact_ties_at_width_above_one_rank_end_then_lowest_id(kind, beam_size):
+    # Every row is uniform over V = 7, so each extension costs ln(1/7): the
+    # caption ended now ranks first, then the one continued with token 0.
+    model = fresh_model(kind)
+    feats = ImageFeatures(np.linspace(-1.0, 1.0, 5))
+    ranked = dec.beam_search(model, feats, beam_size=beam_size)
+    want = [(), (0,), (0, 0)][:beam_size]
+    assert [tuple(seq.target_ids[:seq.valid_len - 1]) for seq, _ in ranked] == want
+    for n, (seq, logprob) in enumerate(ranked, 1):
+        assert seq.valid_len == n
+        assert logprob == pytest.approx(n * np.log(1 / 7), abs=1e-12)
+
+
+class TieModel:
+    """Hand-set next-token rows over V = 5 in which hypotheses of different
+    scores tie exactly, since log(.5) + log(.3) == log(.3) + log(.5)."""
+
+    config = SimpleNamespace(vocab_size=5, max_steps=3)
+    rows = {
+        (): {3: 0.5, 2: 0.3, 4: 0.1, END_ID: 0.05, 0: 0.05},
+        (3,): {2: 0.6, 4: 0.3, END_ID: 0.05, 0: 0.025, 3: 0.025},
+        (2,): {4: 0.5, END_ID: 0.5},
+    }
+    ending = {END_ID: 0.96, 0: 0.01, 2: 0.01, 3: 0.01, 4: 0.01}
+
+    def forward_probs(self, ids, features):
+        probs = np.zeros((len(ids), 5))
+        for token_id, p in self.rows.get(tuple(ids[1:].tolist()), self.ending).items():
+            probs[-1, token_id] = p
+        return probs
+
+
+def test_ties_across_hypotheses_rank_end_then_lower_ids():
+    # The live prefixes after step 1 are (3,) and (2,), best first. At step 2
+    # (3, 2) leads, and (2,) ended, (2, 4) and (3, 4) tie for the two slots
+    # left: the ended one ranks first, then the lower token ids.
+    ranked = dec.beam_search(TieModel(), None, beam_size=3)
+    assert [tuple(seq.target_ids[:seq.valid_len - 1]) for seq, _ in ranked] == [(3, 2), (2,), (2, 4)]
+
+
 @pytest.mark.parametrize("decoder", [dec.greedy_decode, dec.sample_decode, dec.beam_search])
 def test_max_steps_below_one_rejected(decoder):
     model, feats = tiny_model()
@@ -240,15 +284,6 @@ class TestBeamSearch:
 
 
 class TestHypothesis:
-    def test_extension_accumulates_and_freezes(self):
-        h = dec.BeamHypothesis((), 0.0, False)
-        h = h.extended(3, -0.5)
-        assert h.token_ids == (3,) and h.logprob == -0.5 and not h.finished
-        h = h.extended(END_ID, -0.25)
-        assert h.token_ids == (3,) and h.logprob == -0.75 and h.finished
-        with pytest.raises(ValueError):
-            h.extended(2, -0.1)
-
     def test_logprob_non_increasing_as_tokens_append(self):
         model, feats = tiny_model(seed=13)
         results = dec.beam_search(model, feats, beam_size=3)

@@ -125,20 +125,26 @@ def lstm_checkpoint(tmp_path_factory):
     return path.read_bytes()
 
 
-def with_vocabulary(blob: bytes, edit) -> bytes:
-    """The checkpoint with its header's vocabulary replaced by ``edit(vocab)``."""
+def with_header(blob: bytes, key: str, edit) -> bytes:
+    """The checkpoint with its header's ``key`` replaced by ``edit(value)``."""
     (header_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + header_len])
-    header["vocab"] = edit(header["vocab"])
+    header[key] = edit(header[key])
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len:]
+
+
+def with_vocabulary(blob: bytes, edit) -> bytes:
+    """The checkpoint with its header's vocabulary replaced by ``edit(vocab)``."""
+    return with_header(blob, "vocab", edit)
 
 
 @pytest.mark.parametrize("edit, match", [
     (lambda v: v[3:], "does not start with the reserved tokens"),
     (lambda v: v[:-1] + [v[3]], "lists a token twice"),
     (lambda v: v[:10], "vocabulary at offset 12 has 10 tokens"),
-], ids=["reserved_removed", "token_repeated", "ten_tokens"])
+    (lambda v: v[:3] + list(range(3, len(v))), "token that is not a string"),
+], ids=["reserved_removed", "token_repeated", "ten_tokens", "int_tokens"])
 def test_checkpoint_vocabulary_checked_like_a_vocabulary_file(lstm_checkpoint, tmp_path,
                                                               edit, match):
     path = tmp_path / "edited.ckpt"
@@ -146,3 +152,57 @@ def test_checkpoint_vocabulary_checked_like_a_vocabulary_file(lstm_checkpoint, t
     with pytest.raises(CheckpointError, match=match) as caught:
         load_checkpoint(path)
     assert str(path) in str(caught.value)
+
+
+def edited_config(**changes):
+    """A header config edit: ``None`` removes a field, any other value sets it."""
+    def edit(config):
+        config = dict(config, **changes)
+        return {k: v for k, v in config.items() if v is not None}
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (edited_config(dropout_p=None), "config fields differ from ModelConfig on dropout_p"),
+    (edited_config(extra=1), "config fields differ from ModelConfig on extra"),
+    (edited_config(residual=1), "config field residual is not of type bool: 1"),
+    (edited_config(num_layers=True), "config field num_layers is not of type int: True"),
+    (edited_config(dropout_p="0.1"), "config field dropout_p is not of type float"),
+    (edited_config(kernel_widths=[2.0]), "config field kernel_widths is not of type tuple"),
+    (lambda config: list(config), "config is not a JSON object"),
+], ids=["dropout_p_removed", "unknown_field", "residual_int", "num_layers_bool",
+        "dropout_p_string", "kernel_width_float", "config_list"])
+def test_checkpoint_config_checked_against_its_dataclass(valid_files, tmp_path, edit, match):
+    _, blobs = valid_files
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(with_header(blobs["ckpt"], "config", edit))
+    with pytest.raises(CheckpointError, match=match) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
+
+
+def test_checkpoint_float_field_takes_an_integer(valid_files, tmp_path):
+    _, blobs = valid_files
+    path = tmp_path / "dropout0.ckpt"
+    path.write_bytes(with_header(blobs["ckpt"], "config", edited_config(dropout_p=0)))
+    assert load_checkpoint(path).model.config.dropout_p == 0
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda blob: blob[:7], "truncated at offset 7, inside the 12-byte prefix"),
+    (lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:], "unsupported version 2 at offset 4"),
+], ids=["short_prefix", "version_2"])
+def test_checkpoint_prefix_errors_report_the_offset(valid_files, tmp_path, edit, match):
+    _, blobs = valid_files
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(edit(blobs["ckpt"]))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_byte_reports_the_offset(valid_files, tmp_path):
+    _, blobs = valid_files
+    path = tmp_path / "trailing.ckpt"
+    path.write_bytes(blobs["ckpt"] + b"\x00")
+    with pytest.raises(CheckpointError, match=f"1 trailing bytes at offset {len(blobs['ckpt'])}"):
+        load_checkpoint(path)
