@@ -116,6 +116,9 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
         kind, seed, epoch = header["kind"], header["seed"], header["epoch"]
+        for name in ("seed", "epoch"):
+            if not _JSON_TYPES["int"](header[name]):
+                raise CheckpointError(f"header field {name} is not of type int: {header[name]!r}")
         if kind not in MODEL_KINDS:
             raise CheckpointError(f"unknown model kind {kind!r}")
         config_cls, model_cls, parameter_shapes = MODEL_KINDS[kind]

@@ -4,13 +4,13 @@ normalization, residual connections and per-layer spatial attention, followed
 by a bottleneck classifier over the vocabulary.
 
 All positions of a training sequence are computed in one parallel pass; the
-causal convolutions guarantee position i sees only tokens < i, so the same
-forward serves step-by-step inference on growing prefixes.
+causal convolutions guarantee position i sees only tokens < i. Decoding runs
+the same layer body on all live prefixes at once and keeps the last rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,6 +170,24 @@ class CaptionModel:
         x = ad.dropout(x, self.config.dropout_p, rng, train_mode)
         return ad.add(ad.matmul(ad.relu(x), self.params["image_w"]), self.params["image_b"])
 
+    def _spatial(self, features) -> Tensor | None:
+        """The checked spatial grid when attention is enabled: [G*G, C] for
+        one ImageFeatures, [B, G*G, C] for a list of B."""
+        cfg = self.config
+        if not cfg.attention:
+            return None
+        single = isinstance(features, ImageFeatures)
+        batch = [features] if single else features
+        if any(f.spatial is None for f in batch):
+            raise MissingFeatureError("attention model needs spatial features")
+        spatial = np.stack([f.spatial_flat() for f in batch])
+        if spatial.shape[-2:] != (cfg.grid_size**2, cfg.spatial_channels):
+            raise ad.ShapeError(
+                f"spatial grid {batch[0].spatial.shape} does not match configured "
+                f"({cfg.grid_size}, {cfg.grid_size}, {cfg.spatial_channels})"
+            )
+        return Tensor(spatial[0] if single else spatial)
+
     def forward(self, ids, features, train_mode: bool = False, seed=0):
         """Probabilities for every position of input-view id sequences.
 
@@ -195,24 +213,17 @@ class CaptionModel:
             raise ValueError(f"a batch of {ids.shape[0]} needs one dropout seed per example")
         else:
             rng = [ad.as_generator(s) for s in seed]
-        steps = ids.shape[-1]
+        spatial = self._spatial(features)
+        return self._layers(ids, self.embed_image(features, train_mode, rng), spatial,
+                            train_mode, rng)
 
-        spatial = None
-        if cfg.attention:
-            batch = [features] if single else features
-            if any(f.spatial is None for f in batch):
-                raise MissingFeatureError("attention model needs spatial features")
-            grids = [f.spatial_flat() for f in batch]
-            spatial = Tensor(grids[0] if single else np.stack(grids))
-            if spatial.data.shape[-2:] != (cfg.grid_size**2, cfg.spatial_channels):
-                raise ad.ShapeError(
-                    f"spatial grid {batch[0].spatial.shape} does not match configured "
-                    f"({cfg.grid_size}, {cfg.grid_size}, {cfg.spatial_channels})"
-                )
-
+    def _layers(self, ids, image: Tensor, spatial: Tensor | None, train_mode: bool, rng):
+        """The layer body of every pass, training and decoding alike: word
+        and image embeddings, the conv layers and the classifier, for ids [T]
+        or [B, T] with the image embedding and spatial grid of that shape."""
+        cfg = self.config
         words = ad.embedding_lookup(self.params["word_embedding"], ids)
-        image = self.embed_image(features, train_mode, rng)
-        h = ad.concat((words, ad.tile_rows(image, steps)), axis=-1)
+        h = ad.concat((words, ad.tile_rows(image, ids.shape[-1])), axis=-1)
 
         attention_maps = []
         for layer in range(cfg.num_layers):
@@ -232,8 +243,31 @@ class CaptionModel:
         logits = ad.add(ad.matmul(bottleneck, self.params["output_w"]), self.params["output_b"])
         return ad.softmax(logits, axis=-1), DecoderState(attention_maps)
 
+    def start(self, features: ImageFeatures):
+        """Decoding state of the empty hypothesis: an untracked view (plain
+        Tensors of the same arrays, so no op records a backward) with resolved
+        weight-normed kernels, the [B, T] ids so far, and the image inputs."""
+        params = {name: Tensor(p.data) for name, p in self.params.items()}
+        if self.config.weight_norm:
+            for layer in range(self.config.num_layers):
+                params[f"conv{layer}_kernel"] = ad.weight_norm(
+                    params.pop(f"conv{layer}_v"), params.pop(f"conv{layer}_g"))
+        view = CaptionModel(replace(self.config, weight_norm=False), params)
+        return (view, np.zeros((1, 0), dtype=np.int64), view.embed_image([features]),
+                view._spatial([features]))
+
+    def next_probs(self, state, rows, token_ids):
+        """Keep hypotheses ``rows`` of ``state``, append each its token id and
+        run all prefixes in one pass. Returns (state, probs [len(rows), V])."""
+        view, ids, image, spatial = state
+        ids = np.concatenate([ids[rows], np.reshape(token_ids, (-1, 1))], axis=1)
+        copies = [None if t is None else Tensor(np.repeat(t.data, len(ids), axis=0))
+                  for t in (image, spatial)]
+        probs, _ = view._layers(ids, *copies, False, None)
+        return (view, ids, image, spatial), probs.data[:, -1]
+
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
-        """Evaluation-mode probabilities as a plain array (decoders use this)."""
+        """Evaluation-mode probabilities as a plain array."""
         probs, _ = self.forward(ids, features, train_mode=False)
         return probs.data
 

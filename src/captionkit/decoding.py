@@ -2,9 +2,10 @@
 after max_steps tokens, greedy decoding as its width-1 case, and temperature
 sampling.
 
-Each step recomputes the full forward over the start-token-prefixed prefix,
-which is trivially consistent with the teacher-forced parallel pass (the
-models are causal, so the last row is exactly the next-token distribution).
+All decoders run one stepping loop: ``model.start(features)`` gives the state
+of the empty hypothesis, and each step feeds every live hypothesis its last
+token in one ``model.next_probs`` call. Each row of a step equals
+``_next_distribution``, the last row of that prefix's own forward.
 All decoders are pure functions of (model, features, arguments, seed).
 """
 
@@ -29,6 +30,25 @@ def _step_limit(model, max_steps: int | None) -> int:
     return limit
 
 
+def _search(model, features, limit: int, extend):
+    """The stepping loop: ``extend(live, probs)`` picks a step's surviving
+    (live row, token id, logprob) extensions, in row order. Returns the
+    (token ids, logprob) pairs that ended, and those live at the cap."""
+    state, live, finished = model.start(features), [((), 0.0)], []
+    rows, tokens = [0], [START_ID]
+    for _ in range(limit):
+        state, probs = model.next_probs(state, rows, tokens)
+        picks = extend(live, probs)
+        finished += [(live[row][0], logprob) for row, token_id, logprob in picks
+                     if token_id == END_ID]
+        picks = [pick for pick in picks if pick[1] != END_ID]
+        rows, tokens = [pick[0] for pick in picks], [pick[1] for pick in picks]
+        live = [(live[row][0] + (token_id,), logprob) for row, token_id, logprob in picks]
+        if not live:
+            break
+    return finished, live
+
+
 def greedy_decode(model, features, max_steps: int | None = None) -> TokenSeq:
     """Argmax decoding: beam search of width 1, ties included."""
     return beam_search(model, features, max_steps, beam_size=1)[0][0]
@@ -46,18 +66,16 @@ def sample_decode(model, features, max_steps: int | None = None,
         return greedy_decode(model, features, max_steps)
     limit = _step_limit(model, max_steps)
     rng = np.random.default_rng(seed)
-    out: list[int] = []
-    for _ in range(limit):
-        probs = _next_distribution(model, out, features)
-        logits = np.log(np.maximum(probs, 1e-300)) / temperature
+
+    def draw(live, probs):
+        logits = np.log(np.maximum(probs[0], 1e-300)) / temperature
         logits -= logits.max()
         tempered = np.exp(logits)
         tempered /= tempered.sum()
-        token_id = int(rng.choice(len(tempered), p=tempered))
-        if token_id == END_ID:
-            break
-        out.append(token_id)
-    return TokenSeq.from_token_ids(out, limit)
+        return [(0, int(rng.choice(len(tempered), p=tempered)), 0.0)]
+
+    finished, live = _search(model, features, limit, draw)
+    return TokenSeq.from_token_ids((finished + live)[0][0], limit)
 
 
 def beam_search(model, features, max_steps: int | None = None,
@@ -82,28 +100,18 @@ def beam_search(model, features, max_steps: int | None = None,
         warnings.warn(f"beam size {beam_size} exceeds vocabulary size {vocab_size}",
                       stacklevel=2)
     limit = _step_limit(model, max_steps)
-    # Hypotheses are (emitted token ids, logprob) pairs. Each row lists the end
-    # token first and survivors are kept in index order, so the live prefixes
-    # stay in lexicographic order and a stable sort of the scores ranks
-    # candidates by (-logprob, token ids), as the final sort does.
+    # Rows list the end token first and survivors keep row order, so live
+    # prefixes stay in lexicographic order and a stable sort of the scores
+    # ranks candidates by (-logprob, token ids), as the final sort does.
     order = np.array([END_ID, *range(END_ID), *range(END_ID + 1, vocab_size)])
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    finished: list[tuple[tuple[int, ...], float]] = []
-    for _ in range(limit):
-        scores = np.concatenate([
-            logprob + np.log(np.maximum(_next_distribution(model, prefix, features), 1e-300))[order]
-            for prefix, logprob in live])
-        survivors = []
-        for index in sorted(np.argsort(-scores, kind="stable")[:beam_size].tolist()):
-            prefix = live[index // vocab_size][0]
-            token_id, logprob = int(order[index % vocab_size]), float(scores[index])
-            if token_id == END_ID:
-                finished.append((prefix, logprob))
-            else:
-                survivors.append((prefix + (token_id,), logprob))
-        live = survivors
-        if not live:
-            break
+
+    def best(live, probs):
+        scores = np.concatenate([logprob + np.log(np.maximum(row, 1e-300))[order]
+                                 for row, (_, logprob) in zip(probs, live)])
+        return [(index // vocab_size, int(order[index % vocab_size]), float(scores[index]))
+                for index in sorted(np.argsort(-scores, kind="stable")[:beam_size].tolist())]
+
+    finished, live = _search(model, features, limit, best)
     # The live ones hit the length cap without <E>.
     pool = sorted(finished + live, key=lambda h: (-h[1], h[0]))
     return [(TokenSeq.from_token_ids(ids, limit), logprob) for ids, logprob in pool[:beam_size]]

@@ -135,6 +135,20 @@ class LstmModel:
             rows.append(probs)
         return ad.concat(rows, axis=ids.ndim - 1), state
 
+    def start(self, features: ImageFeatures):
+        """Decoding state of the empty hypothesis: an untracked view (plain
+        Tensors of the same arrays, so no op records a backward) and h0, m0."""
+        view = LstmModel(self.config, {name: Tensor(p.data) for name, p in self.params.items()})
+        return view, view.init_state([features])
+
+    def next_probs(self, state, rows, token_ids):
+        """Keep hypotheses ``rows`` of the [B, 1, H] cell state and step each
+        with its token id. Returns (state, next-token probs [len(rows), V])."""
+        view, cell = state
+        cell = LstmState(Tensor(cell.hidden.data[rows]), Tensor(cell.memory.data[rows]))
+        cell, probs = view.step(cell, token_ids)
+        return (view, cell), probs.data[:, -1]
+
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         probs, _ = self.forward(ids, features, train_mode=False)
         return probs.data

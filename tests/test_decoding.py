@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from captionkit import autodiff as ad
 from captionkit import convmodel as cm
 from captionkit import decoding as dec
 from captionkit import lstmmodel as lm
@@ -83,8 +84,6 @@ class TestGreedy:
 
 
     def test_eval_forwards_draw_no_generator(self, monkeypatch):
-        from captionkit import autodiff as ad
-
         model, feats = tiny_model(dropout_p=0.3)
         want = dec.greedy_decode(model, feats)
 
@@ -150,11 +149,16 @@ class TieModel:
     }
     ending = {END_ID: 0.96, 0: 0.01, 2: 0.01, 3: 0.01, 4: 0.01}
 
-    def forward_probs(self, ids, features):
-        probs = np.zeros((len(ids), 5))
-        for token_id, p in self.rows.get(tuple(ids[1:].tolist()), self.ending).items():
-            probs[-1, token_id] = p
-        return probs
+    def start(self, features):
+        return [()]  # the input ids of each live hypothesis
+
+    def next_probs(self, state, rows, token_ids):
+        state = [state[row] + (token_id,) for row, token_id in zip(rows, token_ids)]
+        probs = np.zeros((len(state), 5))
+        for row, ids in enumerate(state):
+            for token_id, p in self.rows.get(ids[1:], self.ending).items():
+                probs[row, token_id] = p
+        return state, probs
 
 
 def test_ties_across_hypotheses_rank_end_then_lower_ids():
@@ -170,6 +174,101 @@ def test_max_steps_below_one_rejected(decoder):
     model, feats = tiny_model()
     with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
         decoder(model, feats, max_steps=0)
+
+
+def stepping_model(kind):
+    """Criterion 3's conv config (attention, weight norm, residual), or an
+    LSTM of the same widths, with every parameter drawn at random."""
+    if kind == "cnn":
+        model = cm.init_params(cm.ModelConfig(
+            vocab_size=9, embed_dim=6, hidden_dim=8, num_layers=3,
+            kernel_widths=(2, 3, 3), bottleneck_dim=5, max_steps=8,
+            feature_dim=6, dropout_p=0.0, attention=True, residual=True,
+            weight_norm=True, grid_size=2, spatial_channels=8,
+        ), 0)
+    else:
+        model = lm.init_params(lm.LstmConfig(vocab_size=9, embed_dim=6, hidden_dim=8,
+                                             max_steps=8, feature_dim=6), 0)
+    rng = np.random.default_rng(41)
+    for t in model.params.values():
+        t.data[:] = rng.normal(scale=0.5, size=t.data.shape)
+    return model, ImageFeatures(rng.normal(size=6), rng.normal(size=(2, 2, 8)))
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+class TestStepping:
+    """The decoders' step path equals the full-prefix forward with ==."""
+
+    def test_each_step_is_the_forward_row(self, kind):
+        # Step t is row t of the forward over the first t + 1 ids. The LSTM's
+        # rows do not depend on later ids, so its full forward matches too; a
+        # conv pass of one row rounds unlike a longer one (one-row products),
+        # so there the full forward is only criterion 3's 1e-9 away.
+        model, feats = stepping_model(kind)
+        ids = np.random.default_rng(5).integers(0, 9, size=9)
+        full = model.forward_probs(ids, feats)
+        state = model.start(feats)
+        for t, token_id in enumerate(ids):
+            state, probs = model.next_probs(state, [0], [token_id])
+            assert probs.shape == (1, 9)
+            assert np.array_equal(probs[0], model.forward_probs(ids[:t + 1], feats)[t])
+            if kind == "lstm":
+                assert np.array_equal(probs[0], full[t])
+            assert np.allclose(probs[0], full[t], rtol=0.0, atol=1e-9)
+
+    def test_batched_step_equals_each_prefix_alone(self, kind):
+        model, feats = stepping_model(kind)
+        state, _ = model.next_probs(model.start(feats), [0], [START_ID])
+        state, probs = model.next_probs(state, [0, 0, 0], [4, 2, 7])
+        for prefix, row in zip([(4,), (2,), (7,)], probs):
+            assert np.array_equal(row, dec._next_distribution(model, prefix, feats))
+        # Rows reordered, one dropped and one kept twice.
+        state, probs = model.next_probs(state, [2, 0, 0], [1, 5, 3])
+        for prefix, row in zip([(7, 1), (4, 5), (4, 3)], probs):
+            assert np.array_equal(row, dec._next_distribution(model, prefix, feats))
+
+    def test_sampling_equals_a_full_prefix_loop(self, kind):
+        model, feats = stepping_model(kind)
+        limit = model.config.max_steps
+        for temperature in (0.7, 1.0):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                want: list[int] = []
+                for _ in range(limit):
+                    probs = dec._next_distribution(model, want, feats)
+                    logits = np.log(np.maximum(probs, 1e-300)) / temperature
+                    logits -= logits.max()
+                    tempered = np.exp(logits)
+                    tempered /= tempered.sum()
+                    token_id = int(rng.choice(len(tempered), p=tempered))
+                    if token_id == END_ID:
+                        break
+                    want.append(token_id)
+                got = dec.sample_decode(model, feats, temperature=temperature, seed=seed)
+                assert got.target_ids.tolist() == TokenSeq.from_token_ids(want, limit).target_ids.tolist()
+                assert got.valid_len == len(want) + 1
+
+    def test_decoding_builds_no_graph_and_leaves_the_model_alone(self, kind, monkeypatch):
+        model, feats = stepping_model(kind)
+        config, params = model.config, dict(model.params)
+        before = {name: t.data.copy() for name, t in params.items()}
+        node, tracked = ad._node, []
+
+        def recording_node(data, parents, bw):
+            out = node(data, parents, bw)
+            tracked.append(out._bw is not None)
+            return out
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        dec.beam_search(model, feats, beam_size=3)
+        dec.sample_decode(model, feats, seed=1)
+        assert tracked and not any(tracked)
+        assert model.config is config and model.config == config
+        assert model.params.keys() == params.keys()
+        for name, t in model.params.items():
+            assert t is params[name]
+            assert t.grad is None
+            assert np.array_equal(t.data, before[name])
 
 
 class TestOverfitOracle:

@@ -181,6 +181,21 @@ def test_checkpoint_config_checked_against_its_dataclass(valid_files, tmp_path, 
     assert str(path) in str(caught.value)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("epoch", "1", "header field epoch is not of type int: '1'"),
+    ("epoch", True, "header field epoch is not of type int: True"),
+    ("seed", [3], r"header field seed is not of type int: \[3\]"),
+], ids=["epoch_string", "epoch_bool", "seed_list"])
+def test_checkpoint_seed_and_epoch_must_be_integers(valid_files, tmp_path, key, value, match):
+    # --resume computes loaded.epoch + 1, so a string or bool epoch must not load.
+    _, blobs = valid_files
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(with_header(blobs["ckpt"], key, lambda _: value))
+    with pytest.raises(CheckpointError, match=match) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
+
+
 def test_checkpoint_float_field_takes_an_integer(valid_files, tmp_path):
     _, blobs = valid_files
     path = tmp_path / "dropout0.ckpt"
