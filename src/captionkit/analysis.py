@@ -17,7 +17,7 @@ import numpy as np
 
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
-from captionkit.data import END_ID, TokenSeq
+from captionkit.data import END_ID, EmptyCorpusError, TokenSeq
 
 BLEU_EPSILON = 1e-9
 PROB_FLOOR = 1e-12
@@ -112,6 +112,17 @@ def bleu(candidates, references, max_n: int = 4):
 @dataclass
 class LossStats:
     clamped: int = 0
+
+
+def teacher_forced_ids(seqs) -> np.ndarray:
+    """The [B, T'] input ids of B TokenSeqs, cut to T', their longest
+    ``valid_len``: ``nll_loss`` reads no position past it. Both models are
+    causal, so a forward of the cut ids gives the kept rows of a full-length
+    forward; bit-identical for the LSTM, whose products are one row per step
+    at any length, and for the conv model as far as BLAS gives a product's
+    leading rows the same bits at any row count."""
+    rows = max(seq.valid_len for seq in seqs)
+    return np.stack([seq.input_ids[:rows] for seq in seqs])
 
 
 def nll_loss(probs: Tensor, target, reduction: str = "mean",
@@ -215,7 +226,9 @@ def entropy_profile(model, examples) -> float:
 def word_accuracy(model, examples) -> float:
     """Fraction of unpadded positions where argmax(probs) is the target.
 
-    Ties resolve to the lowest token id, the same rule greedy decoding uses.
+    Ties resolve to the lowest token id. Greedy decoding ranks the end
+    token first among equal scores, so the two part on one tie only: start
+    (id 0) against end (id 1) counts as id 0 here, and greedy emits the end.
     """
     return _forward_totals(model, examples).accuracy
 
@@ -238,27 +251,33 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
 
     Each chunk of at most ``batch_size`` examples gets one teacher-forced
     batched forward with dropout off and one backward of the sum of its
-    examples' ``nll_loss``, so each example's gradients are its own. Loss,
-    word accuracy and entropy come from that forward's probabilities and
-    equal ``mean_nll``, ``word_accuracy`` and ``entropy_profile``.
+    examples' ``nll_loss``, so each example's gradients are its own. Every
+    chunk of a call runs the same positions, those up to the longest
+    caption among all the probe examples (``teacher_forced_ids``).
+    Loss, word accuracy and entropy come from that forward's probabilities
+    and equal ``mean_nll``, ``word_accuracy`` and ``entropy_profile``.
 
     The gradient norms are the L2 norms at the word-embedding table and at
     the output projection, averaged over the examples. Each example's
     gradients come out of the batch's own backward (per-example gradients
     as in Goodfellow, arXiv 1510.01799; see ``_probe_chunk``), made by the
-    same products and sums as that example's own backward, so the result is
-    bit-identical at any ``batch_size``. The caller's model, its parameters
-    and their gradients are left as they were. Non-finite gradients set
-    ``finite`` to False rather than raise, so a diverging run still produces
-    a flagged record.
+    same products and sums, over the same positions, as that example's own
+    backward would be, so the result is bit-identical at any ``batch_size``
+    by construction. The caller's model, its parameters and their gradients
+    are left as they were. Non-finite gradients set ``finite`` to False
+    rather than raise, so a diverging run still produces a flagged record.
+    No examples raise ``EmptyCorpusError``.
     """
+    if not examples:
+        raise EmptyCorpusError("no examples to probe")
     totals = _Totals()
     norm_in = 0.0
     norm_out = 0.0
     finite = True
+    ids = teacher_forced_ids([ex.seq for ex in examples])
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]
-        probs, g_in, g_out = _probe_chunk(model, chunk)
+        probs, g_in, g_out = _probe_chunk(model, chunk, ids[lo:lo + batch_size])
         if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
             finite = False
         totals.add(probs, [ex.seq for ex in chunk])
@@ -270,10 +289,11 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
                        norm_in / n, norm_out / n, finite)
 
 
-def _probe_chunk(model, chunk):
-    """One batched forward and backward of a probe chunk. Returns its
-    probabilities and each example's gradients at the word-embedding table
-    and at the output projection, as [B, ...] arrays.
+def _probe_chunk(model, chunk, ids):
+    """One batched forward and backward of a probe chunk with its input ids
+    [B, T']. Returns its probabilities [B, T', V] and each example's
+    gradients at the word-embedding table and at the output projection, as
+    [B, ...] arrays.
 
     The forward runs on a view of the model's parameters: each is an
     untracked tensor over the same array, except those two, which become
@@ -291,8 +311,7 @@ def _probe_chunk(model, chunk):
     }
     try:
         table, projection = model.word_embedding, model.output_projection
-        probs, _ = model.forward(np.stack([seq.input_ids for seq in seqs]),
-                                 [ex.features for ex in chunk], train_mode=False)
+        probs, _ = model.forward(ids, [ex.features for ex in chunk], train_mode=False)
     finally:
         model.params = params
     ad.backward(nll_loss(probs, seqs, batch_mean=False))

@@ -390,7 +390,7 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     return _node(w, (v, g), bw)
 
 
-def dropout(x: Tensor, p: float, rng, train_mode: bool) -> Tensor:
+def dropout(x: Tensor, p: float, rng, train_mode: bool, positions: int | None = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by 1/(1-p).
 
     Identity when not training or p == 0. ``rng`` is an integer seed or a
@@ -398,17 +398,29 @@ def dropout(x: Tensor, p: float, rng, train_mode: bool) -> Tensor:
     ``rng`` is a list with one seed or Generator per example (the leading
     axis of ``x``), and each example's mask is drawn from its own stream with
     the shape ``x.shape[1:]`` that the example alone would have.
+
+    ``positions`` makes the mask per position: an example's rows (its first
+    axis) are drawn as ``max(rows, positions)`` rows and the first ``rows``
+    kept. A prefix of a sequence then gets the mask rows of the whole
+    sequence, and the stream moves on by the same amount, so later draws
+    from it do not depend on how many rows were kept.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train_mode or p == 0.0:
         return x
+
+    def draw(r, shape):
+        if positions is None:
+            return as_generator(r).random(shape)
+        return as_generator(r).random((max(shape[0], positions),) + shape[1:])[:shape[0]]
+
     if isinstance(rng, list):
         if len(rng) != x.data.shape[0]:
             raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
-        draws = np.stack([as_generator(r).random(x.data.shape[1:]) for r in rng])
+        draws = np.stack([draw(r, x.data.shape[1:]) for r in rng])
     else:
-        draws = as_generator(rng).random(x.data.shape)
+        draws = draw(rng, x.data.shape)
     factor = (draws >= p) / (1.0 - p)
 
     def bw(g, emit):

@@ -17,7 +17,6 @@ import numpy as np
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
 from captionkit.data import ImageFeatures, global_rows, model_ids
-from captionkit.data import InvalidFeatureError  # noqa: F401 -- part of this module's API
 
 
 class MissingFeatureError(ValueError):
@@ -227,7 +226,7 @@ class CaptionModel:
 
         attention_maps = []
         for layer in range(cfg.num_layers):
-            x = ad.dropout(h, cfg.dropout_p, rng, train_mode)
+            x = ad.dropout(h, cfg.dropout_p, rng, train_mode, positions=cfg.max_steps + 1)
             conv = ad.causal_conv1d(x, self._conv_kernel(layer), self.params[f"conv{layer}_bias"])
             d = ad.glu(conv)
             out = d

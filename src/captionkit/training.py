@@ -13,7 +13,7 @@ import numpy as np
 
 from captionkit import analysis
 from captionkit import autodiff as ad
-from captionkit.analysis import LossStats, nll_loss
+from captionkit.analysis import LossStats, nll_loss, teacher_forced_ids
 from captionkit.autodiff import Tensor
 from captionkit.checkpoint import save_checkpoint
 from captionkit.data import EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode
@@ -120,11 +120,15 @@ def train(
     """Run the teacher-forced training loop and return per-epoch records.
 
     Each minibatch is one batched forward and one backward of the batch's
-    ``nll_loss``, the mean of its examples' losses. Every example still gets
-    its own dropout seed, drawn in shuffle order, so its masks are the ones a
-    forward of that example alone would draw. The per-epoch probe
-    (``analysis.grad_norm_probe``) runs in chunks of at most ``batch_size``
-    examples, so its graphs are no larger than an update's.
+    ``nll_loss``, the mean of its examples' losses. The forward runs only
+    the positions up to the batch's longest caption, the rows that loss
+    reads (``analysis.teacher_forced_ids``); both models are causal, so the
+    kept rows are those of a full-length forward. Every example still gets
+    its own dropout seed, drawn in shuffle order, and the convolutional
+    model draws its masks per position, so an example's masks are the ones
+    a full-length forward of that example alone would draw. The per-epoch
+    probe (``analysis.grad_norm_probe``) runs in chunks of at most
+    ``batch_size`` examples, so its graphs are no larger than an update's.
 
     Fully deterministic for a given seed: each epoch's shuffle and dropout
     noise derive from (seed, epoch), so a resumed run replays the same epoch
@@ -163,12 +167,10 @@ def train(
             batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
             seeds = [int(rng.integers(2**31)) for _ in batch]
             ad.zero_gradients(params)
-            probs, _ = model.forward(
-                np.stack([ex.seq.input_ids for ex in batch]), [ex.features for ex in batch],
-                train_mode=True, seed=seeds,
-            )
-            ad.backward(nll_loss(probs, [ex.seq for ex in batch], config.loss_reduction,
-                                 result.loss_stats))
+            seqs = [ex.seq for ex in batch]
+            probs, _ = model.forward(teacher_forced_ids(seqs), [ex.features for ex in batch],
+                                     train_mode=True, seed=seeds)
+            ad.backward(nll_loss(probs, seqs, config.loss_reduction, result.loss_stats))
             optimizer.step(lr)
 
         records = [analysis.grad_norm_probe(model, train_probe, config.batch_size)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from captionkit import analysis
 from captionkit import autodiff as ad
 from captionkit import convmodel as cm
+from captionkit import decoding as dec
 from captionkit import lstmmodel as lm
-from captionkit.data import END_ID, ImageFeatures, TokenSeq, build_vocab, encode, synth_corpus
+from captionkit.data import (END_ID, EmptyCorpusError, ImageFeatures, TokenSeq, build_vocab,
+                             encode, synth_corpus)
 from captionkit.training import Example, TrainConfig, prepare_examples, train
 
 
@@ -75,6 +78,20 @@ class _FixedModel:
 
     def forward_probs(self, ids, features):
         return self.rows[: len(ids)]
+
+
+class _StepModel(_FixedModel):
+    """A _FixedModel a decoder can step: every step gives its first row."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.config = SimpleNamespace(vocab_size=self.rows.shape[1], max_steps=1)
+
+    def start(self, features):
+        return None
+
+    def next_probs(self, state, rows, token_ids):
+        return state, np.repeat(self.rows[:1], len(rows), axis=0)
 
 
 def _example(target_ids, n):
@@ -146,6 +163,18 @@ class TestWordAccuracy:
         miss = analysis.word_accuracy(model, [_example([3], 1)])
         assert (hit, miss) == (0.5, 0.0)
 
+    @pytest.mark.parametrize("tied, accuracy", [((0, END_ID), 0.0), ((END_ID, 2), 1.0)])
+    def test_greedy_parts_from_argmax_only_on_a_start_end_tie(self, tied, accuracy):
+        # Greedy ranks the end token first among equal scores, argmax the
+        # lowest id. Both rows make greedy emit <E> at once; argmax hits the
+        # <E> target on a tie of <E> with a word, but not on a tie of the
+        # start token (id 0) with <E>.
+        row = np.zeros((1, 4))
+        row[0, list(tied)] = 0.5
+        model = _StepModel(np.vstack([row, row]))
+        assert dec.greedy_decode(model, None).target_ids[0] == END_ID
+        assert analysis.word_accuracy(model, [_example([], 1)]) == accuracy
+
 
 class TestGradNormProbe:
     def _model_examples(self):
@@ -200,6 +229,11 @@ class TestGradNormProbe:
         assert probe.grad_norm_out == pytest.approx(
             float(np.linalg.norm(model.output_projection.grad)), rel=1e-12
         )
+
+    def test_no_examples_rejected(self):
+        model, _ = self._model_examples()
+        with pytest.raises(EmptyCorpusError, match="no examples to probe"):
+            analysis.grad_norm_probe(model, [])
 
     def test_norm_matches_finite_difference_directional_estimate(self):
         from conftest import assert_grads_close, finite_difference

@@ -150,10 +150,12 @@ class TestElementwiseSuite:
     def test_dropout_p_zero_identity(self):
         x = t(np.arange(12.0).reshape(3, 4))
         assert ad.dropout(x, 0.0, 7, train_mode=True) is x
+        assert ad.dropout(x, 0.0, 7, train_mode=True, positions=5) is x
 
     def test_dropout_eval_identity(self):
         x = t(np.arange(12.0).reshape(3, 4))
         assert ad.dropout(x, 0.5, 7, train_mode=False) is x
+        assert ad.dropout(x, 0.5, 7, train_mode=False, positions=5) is x
 
     def test_dropout_seed_reproducible(self):
         x = t(np.ones((20, 20)))
@@ -179,6 +181,34 @@ class TestElementwiseSuite:
     def test_dropout_invalid_p(self):
         with pytest.raises(ValueError):
             ad.dropout(t(np.ones(3)), 1.0, 0, train_mode=True)
+
+    def test_dropout_per_position_keeps_the_mask_of_a_full_draw(self):
+        # With positions P, any row count r gets the first r rows of the
+        # mask a draw of P rows would give, and the stream moves on by P
+        # rows; at r >= P the argument changes nothing.
+        x = np.random.default_rng(3).normal(size=(6, 5))
+        full = ad.dropout(t(x), 0.4, 21, True).data
+        for positions in (1, 4, 6):
+            assert np.array_equal(ad.dropout(t(x), 0.4, 21, True, positions).data, full)
+        for rows in range(1, 7):
+            rng = ad.as_generator(21)
+            cut = ad.dropout(t(x[:rows]), 0.4, rng, True, positions=6).data
+            assert np.array_equal(cut, full[:rows]), rows
+            reference = ad.as_generator(21)
+            reference.random((6, 5))
+            assert rng.random() == reference.random(), rows
+
+    def test_dropout_per_position_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        x = t(rng.normal(size=(2, 3, 4)))
+        w = rng.normal(size=(2, 3, 4))
+
+        def masked(data):
+            return ad.dropout(data, 0.3, [5, 6], True, positions=7)
+
+        ad.backward(ad.sum_all(ad.mul(masked(x), t(w, grad=False))))
+        fd = finite_difference(lambda: (masked(t(x.data, grad=False)).data * w).sum(), [x.data])
+        assert_grads_close(x.grad, fd[0], rtol=1e-6)
 
     def test_lookup_matches_one_hot_matmul(self):
         rng = np.random.default_rng(4)

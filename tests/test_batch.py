@@ -323,3 +323,61 @@ def test_stacked_matmul_is_batch_invariant_at_bench_shapes(B, T, C, D):
         stacked = np.matmul(x, right)
         bad = [b for b in range(B) if not np.array_equal(stacked[b], x[b] @ right)]
         assert not bad, f"np.matmul of {(B, T, C)} @ {(C, D)} differs from x[b] @ w at b={bad}"
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_cnn_train_forward_of_a_prefix_gives_the_rows_of_the_full_forward(batch):
+    """Causality in train mode: the dropout masks are drawn per position, so
+    a forward of the first T' positions gives the first T' rows of the
+    full-length forward with the same seeds, dropout included."""
+    model, examples = model_and_examples("cnn")
+    ids, feats = batch_inputs(examples)
+    seeds = [101, 7, 55, 3, 89]
+    if not batch:
+        ids, feats, seeds = ids[0], feats[0], seeds[0]
+    full, _ = model.forward(ids, feats, train_mode=True, seed=seeds)
+    assert not np.array_equal(full.data, model.forward(ids, feats)[0].data)
+    for rows in range(1, model.config.max_steps + 2):
+        cut, _ = model.forward(ids[..., :rows], feats, train_mode=True, seed=seeds)
+        expected = full.data[..., :rows, :]
+        if rows == 1:
+            # One-row products round differently; criterion 3's tolerance.
+            assert np.allclose(cut.data, expected, atol=1e-9)
+        else:
+            assert np.array_equal(cut.data, expected), rows
+
+
+# The products above that the cnn issues with one row per position.
+CNN_PRODUCTS = [(128, 128), (64, 128), (64, 64), (64, 16), (16, 64), (64, 28), (28, 64),
+                (128, 64)]
+
+
+@pytest.mark.parametrize("C,D", CNN_PRODUCTS)
+def test_cnn_products_of_a_cut_batch_are_rows_of_the_full_ones_at_bench_shapes(C, D):
+    """The numpy/BLAS property that makes a cnn minibatch cut to its longest
+    caption (T' = 2..8 of the bench config's T = 9 positions) train exactly
+    as the full length does: a product at T' rows gives the first T' rows
+    of the product at T, for a plain and for a transposed right operand, and
+    a weight gradient summed over the cut rows equals the one summed over
+    all rows, whose gradient is zero past T'. At T = 16 this fails for
+    128-wide transposed operands and for the 64- and 128-wide weight
+    gradients."""
+    rng = np.random.default_rng(C * D)
+    B, T = 32, 9
+    x = rng.normal(size=(B, T, C))
+    g = rng.normal(size=(B, T, D))
+    w = rng.normal(size=(C, D))
+    w_t = rng.normal(size=(D, C)).T
+    for right in (w, w_t):
+        full = np.matmul(x, right)
+        bad = [rows for rows in range(2, T)
+               if not np.array_equal(np.matmul(x[:, :rows], right), full[:, :rows])]
+        assert not bad, f"[{B}, T', {C}] @ {(C, D)} differs from the T = {T} rows at T' = {bad}"
+    bad = []
+    for rows in range(2, T):
+        g_full = g.copy()
+        g_full[:, rows:] = 0.0
+        full = x.reshape(-1, C).T @ g_full.reshape(-1, D)
+        if not np.array_equal(x[:, :rows].reshape(-1, C).T @ g[:, :rows].reshape(-1, D), full):
+            bad.append(rows)
+    assert not bad, f"the {(C, D)} weight gradient over T' rows differs at T' = {bad}"

@@ -6,7 +6,7 @@ import pytest
 from captionkit import autodiff as ad
 from captionkit import convmodel as cm
 from captionkit.autodiff import Tensor
-from captionkit.data import ImageFeatures
+from captionkit.data import ImageFeatures, InvalidFeatureError
 from conftest import assert_grads_close, finite_difference
 
 
@@ -126,7 +126,7 @@ class TestEmbedImage:
         model = cm.init_params(tiny_config(), seed=0)
         bad = ImageFeatures(np.zeros(6))
         bad.global_vec[2] = np.inf
-        with pytest.raises(cm.InvalidFeatureError):
+        with pytest.raises(InvalidFeatureError):
             model.embed_image(bad)
 
 
