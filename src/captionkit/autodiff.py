@@ -30,7 +30,6 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "scale",
     "relu",
     "sigmoid",
     "tanh",
@@ -230,15 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         emit(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bw)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bw(g, emit):
-        emit(a, g * s)
-
-    return _node(a.data * s, (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:

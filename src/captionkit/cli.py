@@ -5,7 +5,9 @@ Every subcommand writes a ``manifest.json`` into its output location before
 doing any work (status ``running``) and finalizes it with the produced files
 and their SHA-256 checksums (status ``complete``), or marks it ``failed``;
 a run is reproducible from its manifest alone. No timestamps are recorded,
-so identical invocations produce byte-identical outputs.
+so identical invocations produce byte-identical outputs. Line-oriented text
+outputs, the manifest included, go through ``data.write_lines``, a temporary
+file renamed into place.
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
 Recognized keys are the field names of TrainConfig and of the model's config
@@ -37,6 +39,7 @@ from captionkit.data import (
     synth_corpus,
     write_caption_file,
     write_features,
+    write_lines,
 )
 
 OUT_ROOT_ENV = "CAPTIONKIT_OUT_ROOT"
@@ -66,11 +69,7 @@ class Manifest:
         self._write()
 
     def _write(self) -> None:
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.path)
+        write_lines(self.path, [json.dumps(self.data, indent=2, sort_keys=True)])
 
     def finish(self, outputs: list[str], **extra) -> None:
         self.data["outputs"] = {
@@ -186,12 +185,14 @@ def build_model_config(values: dict, kind: str, vocab_size: int,
 
 
 def _load_dataset(data_dir: str):
+    """The train and val records of a data directory and its feature
+    dimensions (F, G, C). Its vocabulary is read by ``train`` alone; every
+    other subcommand reads captions with the checkpoint's own."""
     paths = {name: os.path.join(data_dir, name)
              for name in ("vocab.txt", "train.tsv", "val.tsv", "features.ccf")}
     for name, path in paths.items():
         if not os.path.exists(path):
             raise CliError(f"data directory {data_dir} is missing {name}")
-    vocab = Vocabulary.from_file(paths["vocab.txt"])
     features = read_features(paths["features.ccf"])
     if not features:
         raise CliError(f"{paths['features.ccf']} holds no images")
@@ -205,7 +206,7 @@ def _load_dataset(data_dir: str):
             raise CliError(f"{split}.tsv references ids without features: {missing[:3]}")
         splits[split] = [CorpusRecord(image_id, caption, features[image_id])
                          for image_id, caption in items]
-    return vocab, splits, (first.global_vec.shape[0], g_dim, c_dim)
+    return splits, (first.global_vec.shape[0], g_dim, c_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,8 @@ def cmd_train(args) -> int:
         print("training on precomputed image features (extractor held fixed)",
               file=sys.stderr)
         manifest.data["notes"] = "image features precomputed; extractor held fixed"
-        vocab, splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
+        splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
+        vocab = Vocabulary.from_file(os.path.join(args.data, "vocab.txt"))
         init_seed = _pop(values, "init_seed", int) if "init_seed" in values else None
         train_config = training.TrainConfig(**config_fields(training.TrainConfig, values))
         manifest.data["seed"] = train_config.seed
@@ -306,26 +308,21 @@ def _load_model_checkpoint(path):
 
 
 def cmd_caption(args) -> int:
-    out_file = args.out
-    out_dir = os.path.dirname(os.path.abspath(out_file)) or "."
+    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     with Manifest(
         out_dir, "caption", {"beam": args.beam, "max_steps": args.max_steps},
         None, {"ckpt": args.ckpt, "features": args.features},
     ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
         features = read_features(args.features)
-        lines = []
-        for image_id, feat in features.items():
-            ranked = decoding.beam_search(loaded.model, feat, max_steps=args.max_steps,
-                                          beam_size=args.beam)
-            for rank, (seq, logprob) in enumerate(ranked, 1):
-                caption = " ".join(decode(seq.target_ids, loaded.vocab))
-                lines.append(f"{image_id}\t{rank}\t{logprob:.10g}\t{caption}")
-        tmp = out_file + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, out_file)
-        manifest.finish([out_file], images=len(features))
+        ranked = {image_id: decoding.beam_search(loaded.model, feat, max_steps=args.max_steps,
+                                                 beam_size=args.beam)
+                  for image_id, feat in features.items()}
+        lines = [f"{image_id}\t{rank}\t{logprob:.10g}\t"
+                 f"{' '.join(decode(seq.target_ids, loaded.vocab))}"
+                 for image_id, hyps in ranked.items()
+                 for rank, (seq, logprob) in enumerate(hyps, 1)]
+        manifest.finish([write_lines(args.out, lines)], images=len(features))
     return 0
 
 
@@ -336,47 +333,24 @@ def cmd_eval(args) -> int:
         None, {"ckpt": args.ckpt, "data": args.data},
     ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
-        _, splits, _ = _load_dataset(args.data)
-        candidates = []
-        references = []
-        cand_lines = []
-        ref_lines = []
-        for rec in splits[args.split]:
-            ranked = decoding.beam_search(loaded.model, rec.features, beam_size=args.beam)
-            tokens = decode(ranked[0][0].target_ids, loaded.vocab)
-            candidates.append(tokens)
-            references.append([rec.caption])
-            cand_lines.append((rec.image_id, tokens))
-            ref_lines.append((rec.image_id, rec.caption))
-        scores = analysis.bleu(candidates, references)
-        bleu_path = os.path.join(out_dir, "bleu.csv")
-        with open(bleu_path, "w", encoding="utf-8") as fh:
-            fh.write("n,score\n")
-            for n, score in enumerate(scores, 1):
-                fh.write(f"{n},{score:.10g}\n")
-        cand_path = os.path.join(out_dir, "candidates.txt")
-        ref_path = os.path.join(out_dir, "references.txt")
-        write_caption_file(cand_path, cand_lines)
-        write_caption_file(ref_path, ref_lines)
-        manifest.finish([bleu_path, cand_path, ref_path],
-                        bleu={f"bleu{n}": s for n, s in enumerate(scores, 1)})
+        splits, _ = _load_dataset(args.data)
+        records = splits[args.split]
+        best = [decoding.beam_search(loaded.model, rec.features, beam_size=args.beam)[0][0]
+                for rec in records]
+        candidates = [(rec.image_id, decode(seq.target_ids, loaded.vocab))
+                      for rec, seq in zip(records, best)]
+        scores = analysis.bleu([tokens for _, tokens in candidates],
+                               [[rec.caption] for rec in records])
+        outputs = [
+            write_lines(os.path.join(out_dir, "bleu.csv"),
+                        ["n,score"] + [f"{n},{score:.10g}" for n, score in enumerate(scores, 1)]),
+            write_caption_file(os.path.join(out_dir, "candidates.txt"), candidates),
+            write_caption_file(os.path.join(out_dir, "references.txt"),
+                               [(rec.image_id, rec.caption) for rec in records]),
+        ]
+        manifest.finish(outputs, bleu={f"bleu{n}": s for n, s in enumerate(scores, 1)})
         print("\n".join(f"BLEU-{n}: {score:.4f}" for n, score in enumerate(scores, 1)))
     return 0
-
-
-def _analyze_one(loaded, splits, vocab, beam, limit, positions):
-    model = loaded.model
-    records = []
-    for split in ("train", "val"):
-        examples = training.prepare_examples(splits[split][:limit], vocab,
-                                             model.config.max_steps)
-        records.append(analysis.grad_norm_probe(model, examples).record(loaded.epoch, split))
-    beams = [
-        [seq for seq, _ in decoding.beam_search(model, rec.features, beam_size=beam)]
-        for rec in splits["val"][:limit]
-    ]
-    diversity = analysis.unique_words_per_position(beams, positions=positions)
-    return records, diversity
 
 
 def cmd_analyze(args) -> int:
@@ -386,63 +360,57 @@ def cmd_analyze(args) -> int:
         {"beam": args.beam, "limit": args.limit, "positions": args.positions},
         None, {"ckpt": args.ckpt, "ckpt2": args.ckpt2, "data": args.data},
     ) as manifest:
-        vocab, splits, _ = _load_dataset(args.data)
-        loaded = [_load_model_checkpoint(args.ckpt)]
-        if args.ckpt2:
-            loaded.append(_load_model_checkpoint(args.ckpt2))
-            if loaded[0].kind == loaded[1].kind:
-                raise CliError(
-                    "side-by-side analysis expects one cnn and one lstm checkpoint, "
-                    f"got two {loaded[0].kind!r}"
-                )
-        outputs = []
-        results = []
-        for ckpt in loaded:
-            records, diversity = _analyze_one(
-                ckpt, splits, vocab, args.beam, args.limit, args.positions
+        splits, _ = _load_dataset(args.data)
+        loaded = [_load_model_checkpoint(path) for path in (args.ckpt, args.ckpt2) if path]
+        if len(loaded) == 2 and loaded[0].kind == loaded[1].kind:
+            raise CliError(
+                "side-by-side analysis expects one cnn and one lstm checkpoint, "
+                f"got two {loaded[0].kind!r}"
             )
-            results.append((ckpt, records, diversity))
-            prefix = ckpt.kind
-            metrics_path = os.path.join(out_dir, f"analysis_{prefix}.csv")
-            with open(metrics_path, "w", encoding="utf-8") as fh:
-                fh.write(analysis.METRICS_CSV_HEADER + "\n")
-                for record in records:
-                    fh.write(record.csv_row() + "\n")
-            diversity_path = os.path.join(out_dir, f"diversity_{prefix}.csv")
-            with open(diversity_path, "w", encoding="utf-8") as fh:
-                fh.write("position,unique_count\n")
-                for pos, count in enumerate(diversity, 1):
-                    fh.write(f"{pos},{count}\n")
-            outputs += [metrics_path, diversity_path]
-        if len(results) == 2:
-            outputs.append(_write_comparison(out_dir, results))
+        records = {}
+        outputs = []
+        for ckpt in loaded:
+            model = ckpt.model
+            records[ckpt.kind] = [
+                analysis.grad_norm_probe(model, training.prepare_examples(
+                    splits[split][:args.limit], ckpt.vocab, model.config.max_steps,
+                )).record(ckpt.epoch, split)
+                for split in ("train", "val")
+            ]
+            beams = [[seq for seq, _ in decoding.beam_search(model, rec.features,
+                                                             beam_size=args.beam)]
+                     for rec in splits["val"][:args.limit]]
+            diversity = analysis.unique_words_per_position(beams, positions=args.positions)
+            outputs += [
+                write_lines(os.path.join(out_dir, f"analysis_{ckpt.kind}.csv"),
+                            [analysis.METRICS_CSV_HEADER]
+                            + [record.csv_row() for record in records[ckpt.kind]]),
+                write_lines(os.path.join(out_dir, f"diversity_{ckpt.kind}.csv"),
+                            ["position,unique_count"]
+                            + [f"{pos},{count}" for pos, count in enumerate(diversity, 1)]),
+            ]
+        if len(records) == 2:
+            outputs += _write_comparison(out_dir, records)
         manifest.finish(outputs)
     return 0
 
 
-def _write_comparison(out_dir: str, results) -> str:
-    """Side-by-side table plus the directional observations, logged only."""
-    path = os.path.join(out_dir, "comparison.csv")
-    (kind_a, recs_a, _), (kind_b, recs_b, _) = (
-        (r[0].kind, r[1], r[2]) for r in results
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"metric,split,{kind_a},{kind_b}\n")
-        for ra, rb in zip(recs_a, recs_b):
-            for name in ("loss", "accuracy", "entropy", "grad_norm_in", "grad_norm_out"):
-                fh.write(f"{name},{ra.split},{getattr(ra, name):.10g},{getattr(rb, name):.10g}\n")
-    notes = os.path.join(out_dir, "notes.txt")
-    val_a = next(r for r in recs_a if r.split == "val")
-    val_b = next(r for r in recs_b if r.split == "val")
-    with open(notes, "w", encoding="utf-8") as fh:
-        fh.write(f"entropy: {kind_a}={val_a.entropy:.4f} {kind_b}={val_b.entropy:.4f}\n")
-        for kind, rec in ((kind_a, val_a), (kind_b, val_b)):
-            if rec.grad_norm_in > 0:
-                fh.write(
-                    f"gradient decay {kind}: output/input norm ratio "
-                    f"{rec.grad_norm_out / rec.grad_norm_in:.2f}\n"
-                )
-    return path
+def _write_comparison(out_dir: str, records: dict) -> list[str]:
+    """Side-by-side table of the two kinds' records plus the directional
+    observations, logged only; returns the paths of both files."""
+    (kind_a, recs_a), (kind_b, recs_b) = records.items()
+    table = [f"metric,split,{kind_a},{kind_b}"] + [
+        f"{name},{ra.split},{getattr(ra, name):.10g},{getattr(rb, name):.10g}"
+        for ra, rb in zip(recs_a, recs_b)
+        for name in ("loss", "accuracy", "entropy", "grad_norm_in", "grad_norm_out")
+    ]
+    val = {kind: next(r for r in recs if r.split == "val") for kind, recs in records.items()}
+    notes = [f"entropy: {kind_a}={val[kind_a].entropy:.4f} {kind_b}={val[kind_b].entropy:.4f}"]
+    notes += [f"gradient decay {kind}: output/input norm ratio "
+              f"{rec.grad_norm_out / rec.grad_norm_in:.2f}"
+              for kind, rec in val.items() if rec.grad_norm_in > 0]
+    return [write_lines(os.path.join(out_dir, "comparison.csv"), table),
+            write_lines(os.path.join(out_dir, "notes.txt"), notes)]
 
 
 # ---------------------------------------------------------------------------

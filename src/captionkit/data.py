@@ -16,6 +16,7 @@ File formats owned by this module:
 from __future__ import annotations
 
 import io
+import os
 import string
 import struct
 from collections import Counter
@@ -49,6 +50,17 @@ class InvalidFeatureError(ValueError):
 
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+
+def write_lines(path, lines):
+    """Write each of ``lines`` and a newline to a UTF-8 text file at
+    ``path``, through a temporary file and a rename, so a reader never sees
+    a partial file; returns ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    os.replace(tmp, path)
+    return path
 
 
 def _text_lines(path) -> io.StringIO:
@@ -99,9 +111,7 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.id_to_token:
-                fh.write(tok + "\n")
+        write_lines(path, self.id_to_token)
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
@@ -343,11 +353,9 @@ def read_features(path) -> dict[str, ImageFeatures]:
 # caption corpus IO
 
 
-def write_caption_file(path, items) -> None:
-    """``items`` is an iterable of (image_id, token list)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id, tokens in items:
-            fh.write(f"{image_id}\t{' '.join(tokens)}\n")
+def write_caption_file(path, items):
+    """``items`` is an iterable of (image_id, token list); returns ``path``."""
+    return write_lines(path, (f"{image_id}\t{' '.join(tokens)}" for image_id, tokens in items))
 
 
 def read_caption_file(path) -> list[tuple[str, list[str]]]:

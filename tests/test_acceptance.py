@@ -59,7 +59,7 @@ def test_criterion_1_gradient_correctness():
 
     def check(model, tag):
         probs, _ = model.forward(ids, feats)
-        loss = ad.scale(ad.sum_all(ad.log(ad.pick(probs, targets))), -1.0 / len(targets))
+        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets))), ad.Tensor(-1.0 / len(targets)))
         ad.zero_gradients(model.parameters())
         ad.backward(loss)
 

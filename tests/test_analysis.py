@@ -221,7 +221,7 @@ class TestGradNormProbe:
         probs, _ = model.forward(ex.seq.input_ids, ex.features)
         rows = ex.seq.valid_len
         sel = ad.pick(probs, ex.seq.target_ids[:rows])
-        loss = ad.scale(ad.sum_all(ad.log(sel)), -1.0 / rows)
+        loss = ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows))
         ad.backward(loss)
         assert probe.grad_norm_in == pytest.approx(
             float(np.linalg.norm(model.word_embedding.grad)), rel=1e-12
@@ -246,8 +246,8 @@ class TestGradNormProbe:
         ad.zero_gradients(model.params)
         probs, _ = model.forward(ex.seq.input_ids, ex.features)
         rows = ex.seq.valid_len
-        loss = ad.scale(
-            ad.sum_all(ad.log(ad.pick(probs, ex.seq.target_ids[:rows]))), -1.0 / rows
+        loss = ad.mul(
+            ad.sum_all(ad.log(ad.pick(probs, ex.seq.target_ids[:rows]))), ad.Tensor(-1.0 / rows)
         )
         ad.backward(loss)
 
@@ -296,7 +296,7 @@ class TestMeasurementPass:
             probs, _ = model.forward(ex.seq.input_ids, ex.features)
             rows = ex.seq.valid_len
             sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[:rows]), 1e-12)
-            ad.backward(ad.scale(ad.sum_all(ad.log(sel)), -1.0 / rows))
+            ad.backward(ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows)))
             norm_in += float(np.linalg.norm(model.word_embedding.grad))
             norm_out += float(np.linalg.norm(model.output_projection.grad))
         assert probe.grad_norm_in == norm_in / len(examples)
@@ -430,3 +430,17 @@ class TestAnalysisRecord:
         row = record.csv_row()
         assert row.split(",")[:2] == ["3", "val"]
         assert len(row.split(",")) == len(analysis.METRICS_CSV_HEADER.split(","))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda seq: analysis.nll_loss(ad.Tensor(np.full((2, 3, 5), 0.2)), [seq]), ad.ShapeError,
+     "probabilities (2, 3, 5) for 1 target sequence(s)"),
+    (lambda seq: analysis.nll_loss(ad.Tensor(np.full((2, 5), 0.2)), seq), ad.ShapeError,
+     "2 probability rows for 3 target positions"),
+    (lambda seq: analysis.bleu([["a"]], [[]]), ValueError,
+     "every candidate needs at least one reference"),
+])
+def test_rejections_raise_the_declared_error(call, error, fragment):
+    with pytest.raises(error) as caught:
+        call(TokenSeq.from_token_ids([3, 4], 4))
+    assert fragment in str(caught.value)

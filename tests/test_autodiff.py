@@ -369,3 +369,23 @@ def test_causal_conv_future_independence_property(seed, cut, K):
     mutated[cut + 1:] += rng.normal(size=mutated[cut + 1:].shape) + 1.0
     out = ad.causal_conv1d(t(mutated), kernel, bias).data
     assert np.array_equal(out[: cut + 1], base[: cut + 1])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: ad.add(t(np.zeros((2, 3))), t(np.zeros(2))), "add: incompatible shapes"),
+    (lambda: ad.mul(t(np.zeros(3)), t(np.zeros(2))), "mul: incompatible shapes"),
+    (lambda: ad.causal_conv1d(t(np.zeros(4)), t(np.zeros((2, 1, 3))), t(np.zeros(3))),
+     "causal_conv1d: expected [T,Cin] or [B,T,Cin] and [K,Cin,Cout]"),
+    (lambda: ad.causal_conv1d(t(np.zeros((4, 1))), t(np.zeros((2, 1, 3))), t(np.zeros(2))),
+     "causal_conv1d: bias shape (2,), expected (3,)"),
+    (lambda: ad.weight_norm(t(np.ones((2, 3))), t(np.ones(2))),
+     "weight_norm: g shape (2,), expected (3,)"),
+    (lambda: ad.dropout(t(np.ones((2, 3))), 0.5, [0], train_mode=True),
+     "dropout: 1 generators for a batch of 2"),
+    (lambda: ad.embedding_lookup(t(np.zeros((2, 4, 3))), np.zeros((3, 1), dtype=int)),
+     "embedding_lookup: ids (3, 1) for a table (2, 4, 3)"),
+])
+def test_shape_rejections_raise_shape_error(call, fragment):
+    with pytest.raises(ad.ShapeError) as caught:
+        call()
+    assert fragment in str(caught.value)

@@ -196,7 +196,7 @@ def test_batch_matches_per_example_forwards(kind, reduction):
         single, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=True, seed=seed)
         rows.append(single.data)
         losses.append(nll_loss(single, ex.seq, reduction))
-    ad.backward(ad.scale(reduce(ad.add, losses), 1.0 / len(losses)))
+    ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
 
     assert probs.data.shape == (5,) + rows[0].shape
     assert np.allclose(probs.data, np.stack(rows), rtol=0, atol=1e-12)
@@ -250,7 +250,7 @@ def reference_epoch(model, examples, config):
             probs, _ = model.forward(ex.seq.input_ids, ex.features,
                                      train_mode=True, seed=int(rng.integers(2**31)))
             losses.append(nll_loss(probs, ex.seq, config.loss_reduction))
-        ad.backward(ad.scale(reduce(ad.add, losses), 1.0 / len(losses)))
+        ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
         optimizer.step(tr.lr_for_epoch(config, 0))
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -11,7 +12,13 @@ from captionkit import cli, decoding, training
 from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
 from captionkit.checkpoint import load_checkpoint, save_checkpoint
-from captionkit.data import Vocabulary, read_caption_file, read_features
+from captionkit.data import (
+    ImageFeatures,
+    Vocabulary,
+    read_caption_file,
+    read_features,
+    write_features,
+)
 
 TINY_CNN_CFG = """
 embed_dim = 8
@@ -446,3 +453,124 @@ class TestOutRootEnv:
         monkeypatch.delenv(cli.OUT_ROOT_ENV, raising=False)
         assert run(["synth", "--scenes", 4, "--seed", 1]) == 1
         assert cli.OUT_ROOT_ENV in capsys.readouterr().err
+
+
+TINY_LSTM_CFG = "embed_dim = 8\nhidden_dim = 8\nmax_steps = 8\nepochs = 1\nprobe_size = 4\n"
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """One small run of every subcommand, each into its own directory under
+    the returned root: synth into ``data``, then train_cnn, train_lstm,
+    caption, eval and analyze (the two checkpoints side by side)."""
+    root = tmp_path_factory.mktemp("chain")
+    data_dir = make_data(root)
+    cnn_ckpt = root / "train_cnn" / "checkpoints" / "best.ckpt"
+    lstm_ckpt = root / "train_lstm" / "checkpoints" / "best.ckpt"
+    for argv in (
+        ["train", "--model", "cnn", "--data", data_dir, "--config", write_cfg(root),
+         "--out", root / "train_cnn"],
+        ["train", "--model", "lstm", "--data", data_dir,
+         "--config", write_cfg(root, TINY_LSTM_CFG, name="lstm.cfg"),
+         "--out", root / "train_lstm"],
+        ["caption", "--ckpt", cnn_ckpt, "--features", data_dir / "features.ccf", "--beam", 2,
+         "--out", root / "caption" / "caps.txt"],
+        ["eval", "--ckpt", lstm_ckpt, "--data", data_dir, "--beam", 2, "--out", root / "eval"],
+        ["analyze", "--ckpt", cnn_ckpt, "--ckpt2", lstm_ckpt, "--data", data_dir,
+         "--limit", 3, "--beam", 2, "--out", root / "analyze"],
+    ):
+        assert run(argv) == 0, argv
+    return root
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("step", ["data", "train_cnn", "train_lstm", "caption", "eval",
+                                      "analyze"])
+    def test_manifest_lists_every_file_its_subcommand_writes(self, chain, step):
+        out = chain / step
+        written = {
+            os.path.relpath(os.path.join(folder, name), out)
+            for folder, _, names in os.walk(out) for name in names
+        }
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        assert set(manifest["outputs"]) == written - {"manifest.json"}
+
+    def test_analyze_reads_captions_with_the_checkpoints_vocabulary(self, chain, tmp_path):
+        """A data directory whose vocabulary lists the same tokens in another
+        order gives byte-identical tables: the probe captions are encoded
+        with the vocabulary the checkpoint was trained with."""
+        data_dir = tmp_path / "reordered"
+        shutil.copytree(chain / "data", data_dir)
+        tokens = Vocabulary.from_file(data_dir / "vocab.txt").id_to_token
+        Vocabulary(tokens[:3] + tokens[3:][::-1]).to_file(data_dir / "vocab.txt")
+        original = (chain / "data" / "vocab.txt").read_bytes()
+        assert (data_dir / "vocab.txt").read_bytes() != original
+        out = tmp_path / "analyze"
+        assert run(["analyze", "--ckpt", chain / "train_cnn" / "checkpoints" / "best.ckpt",
+                    "--ckpt2", chain / "train_lstm" / "checkpoints" / "best.ckpt",
+                    "--data", data_dir, "--limit", 3, "--beam", 2, "--out", out]) == 0
+        for name in ("analysis_cnn.csv", "analysis_lstm.csv",
+                     "diversity_cnn.csv", "diversity_lstm.csv"):
+            assert (out / name).read_bytes() == (chain / "analyze" / name).read_bytes(), name
+
+
+def _config_line_without_equals(tmp_path, data_dir):
+    cfg = write_cfg(tmp_path, "embed_dim 8\n")
+    return ["train", "--model", "cnn", "--data", data_dir, "--config", cfg]
+
+
+def _attention_without_grids(tmp_path, data_dir):
+    features = read_features(data_dir / "features.ccf")
+    global_only = {image_id: ImageFeatures(feat.global_vec) for image_id, feat in features.items()}
+    write_features(global_only, data_dir / "features.ccf")
+    return ["train", "--model", "cnn-attn", "--data", data_dir, "--config", write_cfg(tmp_path)]
+
+
+def _data_file_missing(tmp_path, data_dir):
+    os.remove(data_dir / "val.tsv")
+    return ["train", "--model", "cnn", "--data", data_dir, "--config", write_cfg(tmp_path)]
+
+
+def _ids_without_features(tmp_path, data_dir):
+    with open(data_dir / "train.tsv", "a", encoding="utf-8") as fh:
+        fh.write("ghost\ta red ball on the table\n")
+    return ["train", "--model", "cnn", "--data", data_dir, "--config", write_cfg(tmp_path)]
+
+
+def _no_training_scenes(tmp_path, data_dir):
+    return ["synth", "--scenes", 2, "--seed", 1, "--val-fraction", 1.0]
+
+
+def _checkpoint_without_vocabulary(tmp_path, data_dir):
+    cfg = lm.LstmConfig(vocab_size=9, embed_dim=4, hidden_dim=4, max_steps=4, feature_dim=96)
+    ckpt = tmp_path / "no_vocab.ckpt"
+    save_checkpoint(ckpt, lm.init_params(cfg, 0), seed=0, epoch=0)
+    return ["caption", "--ckpt", ckpt, "--features", data_dir / "features.ccf",
+            "--out", tmp_path / "out" / "caps.txt"]
+
+
+@pytest.mark.parametrize("make_argv, fragment", [
+    (_config_line_without_equals, "model.cfg:1: expected 'key = value'"),
+    (_attention_without_grids, "attention requested but the feature file has no spatial grids"),
+    (_data_file_missing, "is missing val.tsv"),
+    (_ids_without_features, "train.tsv references ids without features: ['ghost']"),
+    (_no_training_scenes, "no training scenes left after the validation split"),
+    (_checkpoint_without_vocabulary, "carries no vocabulary"),
+])
+def test_rejections_raise_cli_error(tmp_path, capsys, make_argv, fragment):
+    data_dir = make_data(tmp_path, scenes=4)
+    argv = make_argv(tmp_path, data_dir)
+    if "--out" not in argv:
+        argv += ["--out", tmp_path / "out"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "CliError: " in err and fragment in err
+
+
+def test_validation_split_keeps_at_least_one_scene(tmp_path):
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--scenes", 3, "--seed", 1, "--val-fraction", 0.1,
+                "--out", data_dir]) == 0
+    assert len(read_caption_file(data_dir / "val.tsv")) == 1
+    assert len(read_caption_file(data_dir / "train.tsv")) == 2

@@ -282,7 +282,8 @@ class TestEndToEndGradients:
 
         def loss_tensor():
             probs, _ = model.forward(ids, feats)
-            return ad.scale(ad.sum_all(ad.log(ad.pick(probs, targets))), -1.0 / len(targets))
+            return ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets))),
+                          ad.Tensor(-1.0 / len(targets)))
 
         loss = loss_tensor()
         ad.backward(loss)
@@ -295,3 +296,19 @@ class TestEndToEndGradients:
         for name, tensor in model.params.items():
             fd = finite_difference(ref, [tensor.data])[0]
             assert_grads_close(tensor.grad, fd, rtol=1e-4, atol=1e-8)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: tiny_config(embed_dim=0), ValueError, "all dimensions must be >= 1"),
+    (lambda: tiny_config(max_steps=-1), ValueError, "all dimensions must be >= 1"),
+    (lambda: tiny_config(kernel_widths=(2, 0)), ValueError, "kernel widths must be >= 1"),
+    (lambda: tiny_config(attention=True, grid_size=0), ValueError,
+     "attention requires positive spatial dimensions"),
+    (lambda: cm.init_params(tiny_config(attention=True), 0)
+     .forward([0, 3], tiny_features(grid=3)),
+     ad.ShapeError, "spatial grid (3, 3, 5) does not match configured (2, 2, 5)"),
+])
+def test_rejections_raise_the_declared_error(call, error, fragment):
+    with pytest.raises(error) as caught:
+        call()
+    assert fragment in str(caught.value)

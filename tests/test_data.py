@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from captionkit import data
+from captionkit.autodiff import ShapeError
 
 
 class TestTokenize:
@@ -258,3 +259,57 @@ class TestSynthCorpus:
         assert [c for _, c in data.read_caption_file(tmp_path / "c.tsv")] == [
             r.caption for r in records
         ]
+
+
+class TestWriteLines:
+    def test_writes_each_line_and_returns_the_path(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        assert data.write_lines(path, ["a", "b\tc"]) == path
+        assert path.read_bytes() == b"a\nb\tc\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_no_lines_is_an_empty_file(self, tmp_path):
+        assert data.write_lines(tmp_path / "empty.txt", []).read_bytes() == b""
+
+
+def _features(global_dim=3, grid=None):
+    rng = np.random.default_rng(0)
+    spatial = None if grid is None else rng.normal(size=(grid, grid, 2))
+    return data.ImageFeatures(rng.normal(size=global_dim), spatial)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda tmp: data.build_vocab([["a"]], min_count=0), ValueError, "min_count must be >= 1"),
+    (lambda tmp: data.TokenSeq(np.zeros(3), np.zeros(2), 1), ValueError,
+     "input and target views must have equal length"),
+    (lambda tmp: data.TokenSeq(np.zeros(3), np.zeros(3), 4), ValueError,
+     "valid_len 4 out of range"),
+    (lambda tmp: data.encode(["a"], data.build_vocab([["a"]]), 0), ValueError,
+     "max_steps must be >= 1, got 0"),
+    (lambda tmp: data.ImageFeatures(np.zeros((2, 2))), data.InvalidFeatureError,
+     "global feature must be 1-d"),
+    (lambda tmp: data.ImageFeatures(np.zeros(2), np.zeros((2, 3, 4))), data.InvalidFeatureError,
+     "spatial grid must be [G,G,C]"),
+    (lambda tmp: data.ImageFeatures(np.zeros(2), np.full((1, 1, 2), np.inf)),
+     data.InvalidFeatureError, "spatial features contain non-finite values"),
+    (lambda tmp: _features().spatial_flat(), data.InvalidFeatureError,
+     "no spatial features present"),
+    (lambda tmp: data.model_ids([], _features()), ShapeError,
+     "ids must be a non-empty [T] sequence"),
+    (lambda tmp: data.model_ids([[1], [2]], [_features()]), ShapeError,
+     "2 id sequences for 1 images"),
+    (lambda tmp: data.global_rows(_features(global_dim=3), 4), ShapeError,
+     "global feature dim 3 != configured 4"),
+    (lambda tmp: data.write_features({}, tmp / "f.ccf"), ValueError,
+     "refusing to write an empty feature file"),
+    (lambda tmp: data.write_features({"a": _features(3), "b": _features(4)}, tmp / "f.ccf"),
+     ValueError, "b: global dim 4 != header 3"),
+    (lambda tmp: data.write_features({"a": _features(grid=2), "b": _features()}, tmp / "f.ccf"),
+     ValueError, "b: spatial shape inconsistent with header"),
+    (lambda tmp: data.synth_corpus(0, seed=1), ValueError, "num_scenes must be >= 1, got 0"),
+])
+def test_rejections_raise_the_declared_error(tmp_path, call, error, fragment):
+    with pytest.raises(error) as caught:
+        call(tmp_path)
+    assert fragment in str(caught.value)

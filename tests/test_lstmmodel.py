@@ -52,7 +52,7 @@ class TestStep:
             return -np.log(probs.data[0, target])
 
         _, probs = model.step(model.init_state(feats), 2)
-        loss = ad.scale(ad.log(ad.pick(probs, [target])), -1.0)
+        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, [target]))), ad.Tensor(-1.0))
         ad.backward(ad.sum_all(loss))
         for name, tensor in model.params.items():
             fd = finite_difference(loss_value, [tensor.data])[0]
@@ -115,7 +115,7 @@ class TestForward:
         targets = np.array([4, 1, 2])
 
         probs, _ = model.forward(ids, feats)
-        loss = ad.scale(ad.sum_all(ad.log(ad.pick(probs, targets))), -1.0 / 3)
+        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets))), ad.Tensor(-1.0 / 3))
         ad.backward(loss)
 
         def ref():
@@ -130,3 +130,10 @@ class TestForward:
         cfg = tiny_config()
         model = lm.init_params(cfg, 0)
         assert sum(t.data.size for t in model.params.values()) == lm.parameter_count(cfg)
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "embed_dim", "hidden_dim", "max_steps",
+                                   "feature_dim"])
+def test_config_rejects_dimensions_below_one(field):
+    with pytest.raises(ValueError, match="all dimensions must be >= 1"):
+        tiny_config(**{field: 0})

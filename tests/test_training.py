@@ -277,3 +277,18 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, seed=0, epoch=0)
         assert load_checkpoint(path, expect_config=model.config).kind == "cnn"
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("decay_period", 0, "decay_period, epochs and batch_size must be >= 1"),
+    ("epochs", 0, "decay_period, epochs and batch_size must be >= 1"),
+    ("batch_size", 0, "decay_period, epochs and batch_size must be >= 1"),
+    ("rms_alpha", 1.0, "rms_alpha must be in (0, 1) and rms_epsilon > 0"),
+    ("rms_epsilon", 0.0, "rms_alpha must be in (0, 1) and rms_epsilon > 0"),
+    ("eval_cadence", 0, "eval_cadence and probe_size must be >= 1"),
+    ("probe_size", 0, "eval_cadence and probe_size must be >= 1"),
+])
+def test_config_range_checks_raise_value_error(field, value, fragment):
+    with pytest.raises(ValueError) as caught:
+        tr.TrainConfig(**{field: value})
+    assert fragment in str(caught.value)
