@@ -258,15 +258,18 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
     and equal ``mean_nll``, ``word_accuracy`` and ``entropy_profile``.
 
     The gradient norms are the L2 norms at the word-embedding table and at
-    the output projection, averaged over the examples. Each example's
-    gradients come out of the batch's own backward (per-example gradients
-    as in Goodfellow, arXiv 1510.01799; see ``_probe_chunk``), made by the
-    same products and sums, over the same positions, as that example's own
-    backward would be, so the result is bit-identical at any ``batch_size``
-    by construction. The caller's model, its parameters and their gradients
-    are left as they were. Non-finite gradients set ``finite`` to False
-    rather than raise, so a diverging run still produces a flagged record.
-    No examples raise ``EmptyCorpusError``.
+    the output projection (``"word_embedding"`` and ``"output_w"`` in both
+    models), averaged over the examples. A chunk's forward runs on an
+    ``ad.view`` of the model in which those two are tracked per-example
+    copies ``[B, ...]`` and no other parameter records a backward. Example
+    b reads only copy b, so the backward leaves its gradients in
+    ``.grad[b]`` (per-example gradients as in Goodfellow, arXiv 1510.01799),
+    made by the same products and sums, over the same positions, as that
+    example's own backward would be, so the result is bit-identical at any
+    ``batch_size`` by construction. The caller's model, its parameters and
+    their gradients are never touched. Non-finite gradients set ``finite``
+    to False rather than raise, so a diverging run still produces a flagged
+    record. No examples raise ``EmptyCorpusError``.
     """
     if not examples:
         raise EmptyCorpusError("no examples to probe")
@@ -291,31 +294,14 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
 
 def _probe_chunk(model, chunk, ids):
     """One batched forward and backward of a probe chunk with its input ids
-    [B, T']. Returns its probabilities [B, T', V] and each example's
-    gradients at the word-embedding table and at the output projection, as
-    [B, ...] arrays.
-
-    The forward runs on a view of the model's parameters: each is an
-    untracked tensor over the same array, except those two, which become
-    tracked per-example copies ``[B, ...]`` (broadcast, nothing copied).
-    Example b reads only copy b, so the backward leaves its gradients in
-    ``.grad[b]``, and no other parameter gradient is computed.
-    """
-    seqs = [ex.seq for ex in chunk]
-    params = model.params
-    per_example = (model.word_embedding, model.output_projection)
-    model.params = {
-        name: Tensor(np.broadcast_to(p.data, (len(chunk),) + p.shape), requires_grad=True)
-        if p in per_example else Tensor(p.data)
-        for name, p in params.items()
-    }
-    try:
-        table, projection = model.word_embedding, model.output_projection
-        probs, _ = model.forward(ids, [ex.features for ex in chunk], train_mode=False)
-    finally:
-        model.params = params
-    ad.backward(nll_loss(probs, seqs, batch_mean=False))
-    return probs.data, table.grad, projection.grad
+    [B, T'], on a view of the model as ``grad_norm_probe`` describes.
+    Returns its probabilities [B, T', V] and each example's gradients at the
+    two tracked parameters, as [B, ...] arrays; the graph is freed on return."""
+    tracked = ("word_embedding", "output_w")
+    view = type(model)(model.config, ad.view(model.params, tracked, len(chunk)))
+    probs, _ = view.forward(ids, [ex.features for ex in chunk], train_mode=False)
+    ad.backward(nll_loss(probs, [ex.seq for ex in chunk], batch_mean=False))
+    return probs.data, *(view.params[name].grad for name in tracked)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ __all__ = [
     "sum_all",
     "pick",
     "as_generator",
+    "view",
 ]
 
 
@@ -161,6 +162,15 @@ def zero_gradients(tensors) -> None:
         tensors = tensors.values()
     for t in tensors:
         t.grad = None
+
+
+def view(params: dict[str, Tensor], tracked=(), batch: int = 1) -> dict[str, Tensor]:
+    """Tensors over the same arrays as ``params`` that record no backward,
+    except each name in ``tracked``: a tracked per-example copy ``[batch, ...]``
+    (broadcast, nothing copied) whose ``.grad[b]`` holds the gradient through copy b."""
+    return {name: Tensor(np.broadcast_to(p.data, (batch,) + p.shape), requires_grad=True)
+            if name in tracked else Tensor(p.data)
+            for name, p in params.items()}
 
 
 def as_generator(rng) -> np.random.Generator:

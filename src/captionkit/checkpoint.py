@@ -10,9 +10,9 @@ concatenated in header order, so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
 from captionkit.autodiff import Tensor
 from captionkit.convmodel import CaptionModel, ModelConfig
-from captionkit.data import Vocabulary
+from captionkit.data import Vocabulary, write_bytes
 from captionkit.lstmmodel import LstmConfig, LstmModel
 
 MAGIC = b"CCKP"
@@ -88,14 +88,8 @@ def save_checkpoint(path, model, *, seed: int, epoch: int, vocab: Vocabulary | N
         ],
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(raw)))
-        fh.write(raw)
-        for t in model.parameters().values():
-            fh.write(t.data.astype("<f8").tobytes())
-    os.replace(tmp, path)
+    blobs = (t.data.astype("<f8").tobytes() for t in model.parameters().values())
+    write_bytes(path, chain((MAGIC, struct.pack("<II", VERSION, len(raw)), raw), blobs))
 
 
 def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:

@@ -5,9 +5,9 @@ Every subcommand writes a ``manifest.json`` into its output location before
 doing any work (status ``running``) and finalizes it with the produced files
 and their SHA-256 checksums (status ``complete``), or marks it ``failed``;
 a run is reproducible from its manifest alone. No timestamps are recorded,
-so identical invocations produce byte-identical outputs. Line-oriented text
-outputs, the manifest included, go through ``data.write_lines``, a temporary
-file renamed into place.
+so identical invocations produce byte-identical outputs. A location holding
+another subcommand's manifest is refused. Every output but the per-epoch
+``metrics.csv`` rows goes through ``data.write_bytes`` (a temp file renamed).
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
 Recognized keys are the field names of TrainConfig and of the model's config
@@ -37,6 +37,7 @@ from captionkit.data import (
     read_caption_file,
     read_features,
     synth_corpus,
+    write_bytes,
     write_caption_file,
     write_features,
     write_lines,
@@ -55,9 +56,14 @@ class CliError(ValueError):
 
 class Manifest:
     def __init__(self, directory: str, subcommand: str, config: dict, seed, inputs: dict):
-        os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.path = os.path.join(directory, "manifest.json")
+        if os.path.exists(self.path):
+            with open(self.path, encoding="utf-8") as fh:
+                owner = json.load(fh).get("subcommand")
+            if owner != subcommand:
+                raise CliError(f"{directory} holds the output of {owner!r}; use another --out")
+        os.makedirs(directory, exist_ok=True)
         self.data = {
             "subcommand": subcommand,
             "config": config,
@@ -184,15 +190,18 @@ def build_model_config(values: dict, kind: str, vocab_size: int,
 # data plumbing
 
 
+def _data_file(data_dir: str, name: str) -> str:
+    path = os.path.join(data_dir, name)
+    if not os.path.exists(path):
+        raise CliError(f"data directory {data_dir} is missing {name}")
+    return path
+
+
 def _load_dataset(data_dir: str):
     """The train and val records of a data directory and its feature
-    dimensions (F, G, C). Its vocabulary is read by ``train`` alone; every
-    other subcommand reads captions with the checkpoint's own."""
-    paths = {name: os.path.join(data_dir, name)
-             for name in ("vocab.txt", "train.tsv", "val.tsv", "features.ccf")}
-    for name, path in paths.items():
-        if not os.path.exists(path):
-            raise CliError(f"data directory {data_dir} is missing {name}")
+    dimensions (F, G, C). Its ``vocab.txt`` is read by ``train`` alone;
+    every other subcommand reads captions with the checkpoint's own."""
+    paths = {name: _data_file(data_dir, name) for name in ("train.tsv", "val.tsv", "features.ccf")}
     features = read_features(paths["features.ccf"])
     if not features:
         raise CliError(f"{paths['features.ccf']} holds no images")
@@ -244,8 +253,8 @@ def cmd_synth(args) -> int:
         write_caption_file(paths["train.tsv"], [(r.image_id, r.caption) for r in train_records])
         write_caption_file(paths["val.tsv"], [(r.image_id, r.caption) for r in val_records])
         write_features({r.image_id: r.features for r in records}, paths["features.ccf"])
-        with open(paths["scenes.json"], "w", encoding="utf-8") as fh:
-            json.dump({r.image_id: r.meta for r in records}, fh, indent=2, sort_keys=True)
+        scenes = json.dumps({r.image_id: r.meta for r in records}, indent=2, sort_keys=True)
+        write_bytes(paths["scenes.json"], [scenes.encode("utf-8")])
         manifest.finish(list(paths.values()), scenes=len(records))
     return 0
 
@@ -264,7 +273,7 @@ def cmd_train(args) -> int:
               file=sys.stderr)
         manifest.data["notes"] = "image features precomputed; extractor held fixed"
         splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
-        vocab = Vocabulary.from_file(os.path.join(args.data, "vocab.txt"))
+        vocab = Vocabulary.from_file(_data_file(args.data, "vocab.txt"))
         init_seed = _pop(values, "init_seed", int) if "init_seed" in values else None
         train_config = training.TrainConfig(**config_fields(training.TrainConfig, values))
         manifest.data["seed"] = train_config.seed

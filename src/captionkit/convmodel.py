@@ -10,7 +10,7 @@ the same layer body on all live prefixes at once and keeps the last rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,18 +148,12 @@ class CaptionModel:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    @property
-    def word_embedding(self) -> Tensor:
-        return self.params["word_embedding"]
-
-    @property
-    def output_projection(self) -> Tensor:
-        return self.params["output_w"]
-
-    def _conv_kernel(self, layer: int) -> Tensor:
+    def _kernels(self) -> list[Tensor]:
+        """Every layer's conv kernel, weight-normed when configured."""
+        p, layers = self.params, range(self.config.num_layers)
         if self.config.weight_norm:
-            return ad.weight_norm(self.params[f"conv{layer}_v"], self.params[f"conv{layer}_g"])
-        return self.params[f"conv{layer}_kernel"]
+            return [ad.weight_norm(p[f"conv{i}_v"], p[f"conv{i}_g"]) for i in layers]
+        return [p[f"conv{i}_kernel"] for i in layers]
 
     def embed_image(self, features, train_mode: bool = False, rng=0) -> Tensor:
         """dropout -> relu -> linear on the global feature vector: [1, D] for
@@ -213,13 +207,14 @@ class CaptionModel:
         else:
             rng = [ad.as_generator(s) for s in seed]
         spatial = self._spatial(features)
-        return self._layers(ids, self.embed_image(features, train_mode, rng), spatial,
-                            train_mode, rng)
+        return self._layers(ids, self._kernels(), self.embed_image(features, train_mode, rng),
+                            spatial, train_mode, rng)
 
-    def _layers(self, ids, image: Tensor, spatial: Tensor | None, train_mode: bool, rng):
-        """The layer body of every pass, training and decoding alike: word
-        and image embeddings, the conv layers and the classifier, for ids [T]
-        or [B, T] with the image embedding and spatial grid of that shape."""
+    def _layers(self, ids, kernels: list[Tensor], image: Tensor, spatial: Tensor | None,
+                train_mode: bool, rng):
+        """The layer body of every pass, training and decoding alike: word and
+        image embeddings, the conv layers over ``kernels`` and the classifier,
+        for ids [T] or [B, T] with the image embedding and grid of that shape."""
         cfg = self.config
         words = ad.embedding_lookup(self.params["word_embedding"], ids)
         h = ad.concat((words, ad.tile_rows(image, ids.shape[-1])), axis=-1)
@@ -227,7 +222,7 @@ class CaptionModel:
         attention_maps = []
         for layer in range(cfg.num_layers):
             x = ad.dropout(h, cfg.dropout_p, rng, train_mode, positions=cfg.max_steps + 1)
-            conv = ad.causal_conv1d(x, self._conv_kernel(layer), self.params[f"conv{layer}_bias"])
+            conv = ad.causal_conv1d(x, kernels[layer], self.params[f"conv{layer}_bias"])
             d = ad.glu(conv)
             out = d
             if cfg.attention:
@@ -243,27 +238,22 @@ class CaptionModel:
         return ad.softmax(logits, axis=-1), DecoderState(attention_maps)
 
     def start(self, features: ImageFeatures):
-        """Decoding state of the empty hypothesis: an untracked view (plain
-        Tensors of the same arrays, so no op records a backward) with resolved
-        weight-normed kernels, the [B, T] ids so far, and the image inputs."""
-        params = {name: Tensor(p.data) for name, p in self.params.items()}
-        if self.config.weight_norm:
-            for layer in range(self.config.num_layers):
-                params[f"conv{layer}_kernel"] = ad.weight_norm(
-                    params.pop(f"conv{layer}_v"), params.pop(f"conv{layer}_g"))
-        view = CaptionModel(replace(self.config, weight_norm=False), params)
-        return (view, np.zeros((1, 0), dtype=np.int64), view.embed_image([features]),
-                view._spatial([features]))
+        """Decoding state of the empty hypothesis: an untracked ``ad.view`` of
+        the model, its kernels (weight-normed once per caption), the [B, T]
+        ids so far, and the image inputs."""
+        view = type(self)(self.config, ad.view(self.params))
+        return (view, view._kernels(), np.zeros((1, 0), dtype=np.int64),
+                view.embed_image([features]), view._spatial([features]))
 
     def next_probs(self, state, rows, token_ids):
         """Keep hypotheses ``rows`` of ``state``, append each its token id and
         run all prefixes in one pass. Returns (state, probs [len(rows), V])."""
-        view, ids, image, spatial = state
+        view, kernels, ids, image, spatial = state
         ids = np.concatenate([ids[rows], np.reshape(token_ids, (-1, 1))], axis=1)
         copies = [None if t is None else Tensor(np.repeat(t.data, len(ids), axis=0))
                   for t in (image, spatial)]
-        probs, _ = view._layers(ids, *copies, False, None)
-        return (view, ids, image, spatial), probs.data[:, -1]
+        probs, _ = view._layers(ids, kernels, *copies, False, None)
+        return (view, kernels, ids, image, spatial), probs.data[:, -1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         """Evaluation-mode probabilities as a plain array."""

@@ -52,15 +52,20 @@ class InvalidFeatureError(ValueError):
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
-def write_lines(path, lines):
-    """Write each of ``lines`` and a newline to a UTF-8 text file at
-    ``path``, through a temporary file and a rename, so a reader never sees
-    a partial file; returns ``path``."""
+def write_bytes(path, chunks):
+    """Write the byte strings ``chunks`` to ``path`` through a temporary
+    file and a rename, so a reader never sees a partial file and a failed
+    write leaves an earlier file whole; returns ``path``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
     return path
+
+
+def write_lines(path, lines):
+    """``write_bytes`` of each of ``lines`` and a newline, UTF-8 encoded."""
+    return write_bytes(path, ((line + "\n").encode("utf-8") for line in lines))
 
 
 def _text_lines(path) -> io.StringIO:
@@ -277,6 +282,7 @@ class CorpusRecord:
 
 
 def write_features(features: dict[str, ImageFeatures], path) -> None:
+    """Check every item, then write them all: a rejected one leaves ``path`` as it was."""
     items = list(features.items())
     if not items:
         raise ValueError("refusing to write an empty feature file")
@@ -286,21 +292,18 @@ def write_features(features: dict[str, ImageFeatures], path) -> None:
         g_dim = c_dim = 0
     else:
         g_dim, _, c_dim = first_spatial.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIII", len(items), f_dim, g_dim, c_dim))
-        for image_id, feat in items:
-            if feat.global_vec.shape[0] != f_dim:
-                raise ValueError(f"{image_id}: global dim {feat.global_vec.shape[0]} != header {f_dim}")
-            has_spatial = feat.spatial is not None
-            if has_spatial != (g_dim > 0) or (has_spatial and feat.spatial.shape != (g_dim, g_dim, c_dim)):
-                raise ValueError(f"{image_id}: spatial shape inconsistent with header")
-            raw = image_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(feat.global_vec.astype("<f4").tobytes())
-            if has_spatial:
-                fh.write(feat.spatial.astype("<f4").tobytes())
+    chunks = [FEATURE_MAGIC, struct.pack("<IIII", len(items), f_dim, g_dim, c_dim)]
+    for image_id, feat in items:
+        if feat.global_vec.shape[0] != f_dim:
+            raise ValueError(f"{image_id}: global dim {feat.global_vec.shape[0]} != header {f_dim}")
+        has_spatial = feat.spatial is not None
+        if has_spatial != (g_dim > 0) or (has_spatial and feat.spatial.shape != (g_dim, g_dim, c_dim)):
+            raise ValueError(f"{image_id}: spatial shape inconsistent with header")
+        raw = image_id.encode("utf-8")
+        chunks += [struct.pack("<H", len(raw)), raw, feat.global_vec.astype("<f4").tobytes()]
+        if has_spatial:
+            chunks.append(feat.spatial.astype("<f4").tobytes())
+    write_bytes(path, chunks)
 
 
 def read_features(path) -> dict[str, ImageFeatures]:

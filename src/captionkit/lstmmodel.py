@@ -80,14 +80,6 @@ class LstmModel:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    @property
-    def word_embedding(self) -> Tensor:
-        return self.params["word_embedding"]
-
-    @property
-    def output_projection(self) -> Tensor:
-        return self.params["output_w"]
-
     def init_state(self, features) -> LstmState:
         """h0 = linear(relu(global feature)), m0 = 0: [1, H] for one
         ImageFeatures, [B, 1, H] for a list of B."""
@@ -136,9 +128,9 @@ class LstmModel:
         return ad.concat(rows, axis=ids.ndim - 1), state
 
     def start(self, features: ImageFeatures):
-        """Decoding state of the empty hypothesis: an untracked view (plain
-        Tensors of the same arrays, so no op records a backward) and h0, m0."""
-        view = LstmModel(self.config, {name: Tensor(p.data) for name, p in self.params.items()})
+        """Decoding state of the empty hypothesis: an untracked view of the
+        model (``ad.view``, so no op records a backward) and h0, m0."""
+        view = type(self)(self.config, ad.view(self.params))
         return view, view.init_state([features])
 
     def next_probs(self, state, rows, token_ids):

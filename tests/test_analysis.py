@@ -224,10 +224,10 @@ class TestGradNormProbe:
         loss = ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows))
         ad.backward(loss)
         assert probe.grad_norm_in == pytest.approx(
-            float(np.linalg.norm(model.word_embedding.grad)), rel=1e-12
+            float(np.linalg.norm(model.params["word_embedding"].grad)), rel=1e-12
         )
         assert probe.grad_norm_out == pytest.approx(
-            float(np.linalg.norm(model.output_projection.grad)), rel=1e-12
+            float(np.linalg.norm(model.params["output_w"].grad)), rel=1e-12
         )
 
     def test_no_examples_rejected(self):
@@ -297,8 +297,8 @@ class TestMeasurementPass:
             rows = ex.seq.valid_len
             sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[:rows]), 1e-12)
             ad.backward(ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows)))
-            norm_in += float(np.linalg.norm(model.word_embedding.grad))
-            norm_out += float(np.linalg.norm(model.output_projection.grad))
+            norm_in += float(np.linalg.norm(model.params["word_embedding"].grad))
+            norm_out += float(np.linalg.norm(model.params["output_w"].grad))
         assert probe.grad_norm_in == norm_in / len(examples)
         assert probe.grad_norm_out == norm_out / len(examples)
         assert probe.finite
@@ -314,7 +314,7 @@ class TestMeasurementPass:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(model, "forward", counting("forward", model.forward))
+        monkeypatch.setattr(type(model), "forward", counting("forward", type(model).forward))
         monkeypatch.setattr(ad, "backward", counting("backward", ad.backward))
         train(model, examples[:4], examples[4:], TrainConfig(epochs=1, batch_size=2, probe_size=3))
         # Updates: one forward and one backward per minibatch of 2. Probes:
@@ -390,7 +390,7 @@ class TestMeasurementPass:
         uses = [set(ex.seq.input_ids[: ex.seq.valid_len].tolist()) for ex in examples]
         token, owner = next((tok, i) for i, used in enumerate(uses) for tok in sorted(used)
                             if sum(tok in other for other in uses) == 1)
-        model.word_embedding.data[token] = np.nan
+        model.params["word_embedding"].data[token] = np.nan
         assert not analysis.grad_norm_probe(model, examples).finite
         others = examples[:owner] + examples[owner + 1:]
         assert analysis.grad_norm_probe(model, others).finite

@@ -269,6 +269,45 @@ class TestWeightNorm:
             ad.weight_norm(t(v), t(np.ones(2)))
 
 
+class TestView:
+    @staticmethod
+    def _params():
+        rng = np.random.default_rng(0)
+        return {"table": t(rng.normal(size=(5, 3))), "w": t(rng.normal(size=(3, 2))),
+                "b": t(rng.normal(size=2))}
+
+    def test_shares_the_arrays_and_records_no_backward(self):
+        params = self._params()
+        view = ad.view(params)
+        assert list(view) == list(params)
+        for name, p in params.items():
+            assert view[name] is not p and view[name].data is p.data, name
+            assert not view[name].requires_grad, name
+        out = ad.add(ad.matmul(view["table"], view["w"]), view["b"])
+        assert not out.requires_grad and out._bw is None
+        params["w"].data[0, 0] += 1.0
+        assert view["w"].data[0, 0] == params["w"].data[0, 0]
+
+    def test_tracked_copy_holds_each_examples_gradient(self):
+        params = self._params()
+        view = ad.view(params, tracked=("table",), batch=2)
+        copy = view["table"]
+        assert copy.requires_grad and copy.data.shape == (2, 5, 3)
+        assert np.shares_memory(copy.data, params["table"].data)
+        assert not view["w"].requires_grad and not view["b"].requires_grad
+
+        def loss(table, ids):
+            return ad.sum_all(ad.matmul(ad.embedding_lookup(table, ids), view["w"]))
+
+        ids = np.array([[0, 4, 4], [2, 1, 0]])
+        ad.backward(loss(copy, ids))
+        for b in range(2):
+            alone = t(params["table"].data.copy())
+            ad.backward(loss(alone, ids[b]))
+            assert np.array_equal(copy.grad[b], alone.grad), b
+        assert all(p.grad is None for p in params.values())
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = t(np.arange(6.0).reshape(2, 3))

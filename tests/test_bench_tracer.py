@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from captionkit import analysis, autodiff, cli, training
+from captionkit import convmodel as cm
+from captionkit import lstmmodel as lm
 from captionkit.convmodel import CaptionModel
+from captionkit.data import synth_corpus
 from captionkit.lstmmodel import LstmModel
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -53,3 +56,32 @@ def test_tracer_install_finds_every_name_and_uninstall_restores_it(tracing):
                  "cli.synth_corpus", "training.save_checkpoint"}
     assert patched == expected
     assert changed(before, snapshot()) == set()
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_traced_train_counts_one_probe_forward_per_probe_chunk(tracing, kind):
+    """The bench's probe metrics count the forwards the probe makes, which
+    run on a view of the model, not on the model itself."""
+    records, vocab = synth_corpus(8, seed=3, grid_size=2, spatial_channels=8)
+    if kind == "lstm":
+        model = lm.init_params(lm.LstmConfig(vocab.size, embed_dim=6, hidden_dim=8,
+                                             max_steps=8, feature_dim=96), seed=2)
+    else:
+        model = cm.init_params(cm.ModelConfig(
+            vocab_size=vocab.size, embed_dim=6, hidden_dim=8, num_layers=2,
+            kernel_widths=(2, 3), bottleneck_dim=5, max_steps=8, feature_dim=96,
+            weight_norm=True, attention=True, grid_size=2, spatial_channels=8), seed=2)
+    examples = training.prepare_examples(records, vocab, 8)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.phase = "train"
+        training.train(model, examples[:5], examples[5:], training.TrainConfig(
+            epochs=1, batch_size=2, probe_size=5))
+    finally:
+        tracer.phase = None
+        tracer.uninstall()
+    # Two probes: the 5 train examples in chunks of 2 make 3 chunks, and
+    # the 3 val examples make 2.
+    assert tracer.get("train", "analysis.probe.calls") == 2
+    assert tracer.get("train", "analysis.probe_forward.calls") == 3 + 2

@@ -515,6 +515,47 @@ class TestOutputContract:
             assert (out / name).read_bytes() == (chain / "analyze" / name).read_bytes(), name
 
 
+class TestOutputLocations:
+    def test_caption_into_a_synth_directory_is_refused(self, chain, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(chain / "data", data_dir)
+        before = {p.name: p.read_bytes() for p in data_dir.iterdir()}
+        assert run(["caption", "--ckpt", chain / "train_cnn" / "checkpoints" / "best.ckpt",
+                    "--features", data_dir / "features.ccf", "--out", data_dir / "caps.txt"]) == 1
+        err = capsys.readouterr().err
+        assert "CliError: " in err and "holds the output of 'synth'" in err
+        assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == before
+
+    def test_a_rerun_of_the_same_subcommand_overwrites_its_outputs(self, chain, tmp_path):
+        out = tmp_path / "eval"
+        argv = ["eval", "--ckpt", chain / "train_lstm" / "checkpoints" / "best.ckpt",
+                "--data", chain / "data", "--beam", 2, "--out", out]
+        assert run(argv) == 0
+        (out / "bleu.csv").write_text("stale\n")
+        assert run(argv) == 0
+        for name in ("manifest.json", "bleu.csv", "candidates.txt", "references.txt"):
+            assert (out / name).read_bytes() == (chain / "eval" / name).read_bytes(), name
+
+    def test_only_train_reads_the_vocabulary_file(self, chain, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(chain / "data", data_dir)
+        os.remove(data_dir / "vocab.txt")
+        cnn, lstm = (chain / f"train_{kind}" / "checkpoints" / "best.ckpt"
+                     for kind in ("cnn", "lstm"))
+        assert run(["eval", "--ckpt", lstm, "--data", data_dir, "--beam", 2,
+                    "--out", tmp_path / "eval"]) == 0
+        assert run(["analyze", "--ckpt", cnn, "--ckpt2", lstm, "--data", data_dir,
+                    "--limit", 3, "--beam", 2, "--out", tmp_path / "analyze"]) == 0
+        for step, name in (("eval", "bleu.csv"), ("eval", "candidates.txt"),
+                           ("analyze", "analysis_cnn.csv"), ("analyze", "analysis_lstm.csv"),
+                           ("analyze", "comparison.csv")):
+            assert (tmp_path / step / name).read_bytes() == (chain / step / name).read_bytes()
+        assert run(["train", "--model", "lstm", "--data", data_dir,
+                    "--config", write_cfg(tmp_path, TINY_LSTM_CFG), "--out", tmp_path / "train"]) == 1
+        err = capsys.readouterr().err
+        assert "CliError: " in err and f"data directory {data_dir} is missing vocab.txt" in err
+
+
 def _config_line_without_equals(tmp_path, data_dir):
     cfg = write_cfg(tmp_path, "embed_dim 8\n")
     return ["train", "--model", "cnn", "--data", data_dir, "--config", cfg]

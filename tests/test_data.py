@@ -146,6 +146,21 @@ class TestFeatureFile:
         loaded = data.read_features(path)
         assert loaded["img0"].spatial is None
 
+    @pytest.mark.parametrize("bad", [
+        data.ImageFeatures(np.zeros(5), np.zeros((3, 3, 4))),
+        data.ImageFeatures(np.zeros(6), np.zeros((2, 2, 4))),
+        data.ImageFeatures(np.zeros(6)),
+    ], ids=["global_width", "grid", "no_grid"])
+    def test_a_rejected_item_leaves_the_earlier_file_whole(self, tmp_path, bad):
+        path = tmp_path / "f.ccf"
+        data.write_features(dict(list(self._features().items())[:1]), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            data.write_features(self._features() | {"img1": bad}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.ccf"]
+        assert list(data.read_features(path)) == ["img0"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.ccf"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
@@ -271,6 +286,24 @@ class TestWriteLines:
 
     def test_no_lines_is_an_empty_file(self, tmp_path):
         assert data.write_lines(tmp_path / "empty.txt", []).read_bytes() == b""
+
+    def test_write_bytes_joins_the_chunks_and_returns_the_path(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        assert data.write_bytes(path, iter([b"\x00ab", b"", b"c\n"])) == path
+        assert path.read_bytes() == b"\x00abc\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_a_failed_write_leaves_the_earlier_file_whole(self, tmp_path):
+        path = data.write_lines(tmp_path / "out.txt", ["kept"])
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            data.write_bytes(path, chunks())
+        assert path.read_bytes() == b"kept\n"
 
 
 def _features(global_dim=3, grid=None):

@@ -248,6 +248,20 @@ class TestStepping:
                 assert got.target_ids.tolist() == TokenSeq.from_token_ids(want, limit).target_ids.tolist()
                 assert got.valid_len == len(want) + 1
 
+    def test_the_decoding_view_is_the_model_untracked(self, kind):
+        # The conv model is weight-normed: its view keeps that config and the
+        # v/g parameters, and carries the resolved kernels in the state.
+        model, feats = stepping_model(kind)
+        state = model.start(feats)
+        view = state[0]
+        assert type(view) is type(model) and view.config == model.config
+        assert list(view.params) == list(model.params)
+        for name, t in view.params.items():
+            assert t.data is model.params[name].data and not t.requires_grad, name
+        if kind == "cnn":
+            assert [k.data.tolist() for k in state[1]] == [
+                k.data.tolist() for k in model._kernels()]
+
     def test_decoding_builds_no_graph_and_leaves_the_model_alone(self, kind, monkeypatch):
         model, feats = stepping_model(kind)
         config, params = model.config, dict(model.params)

@@ -215,7 +215,7 @@ class TestTrainLoop:
         # The <UNK> embedding row is NaN and only the validation captions
         # contain an unknown word: training stays finite, the val probe not.
         model, examples, _ = synth_setup()
-        model.word_embedding.data[UNK_ID] = np.nan
+        model.params["word_embedding"].data[UNK_ID] = np.nan
         val = [tr.Example(ex.image_id, TokenSeq.from_token_ids([UNK_ID, 4], 8), ex.features)
                for ex in examples[8:]]
         seen = []
