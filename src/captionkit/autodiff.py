@@ -11,8 +11,10 @@ gradients keep accumulating across repeated backward calls until explicitly
 cleared, which is what a training loop wants and what makes accumulation
 testable.
 
-Everything is float64; speed at the intended problem sizes is irrelevant next
-to being able to verify every gradient against finite differences.
+Everything is float64, and the tests check every op's gradient against
+finite differences, alone or inside a model. A batched product is issued per example, so each example's bits
+are those of its own computation (see :func:`matmul`). Speed is measured by
+the benchmark under ``bench/``, not assumed.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ __all__ = [
     "add",
     "mul",
     "relu",
-    "sigmoid",
-    "tanh",
     "log",
     "clamp_min",
     "softmax",
     "glu",
+    "lstm_cell",
     "causal_conv1d",
     "weight_norm",
     "dropout",
@@ -255,24 +256,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-
-    def bw(g, emit):
-        emit(a, g * y * (1.0 - y))
-
-    return _node(y, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def bw(g, emit):
-        emit(a, g * (1.0 - y * y))
-
-    return _node(y, (a,), bw)
-
-
 def log(a: Tensor) -> Tensor:
     def bw(g, emit):
         emit(a, g / a.data)
@@ -315,6 +298,42 @@ def glu(a: Tensor) -> Tensor:
         emit(a, da)
 
     return _node(val * gate, (a,), bw)
+
+
+def lstm_cell(z: Tensor, memory: Tensor) -> Tensor:
+    """One LSTM cell update as one node.
+
+    ``z`` [..., 4H] holds the gate pre-activations: the input, forget and
+    output gates, then the candidate. ``memory`` [..., H] is the previous cell
+    memory. Returns ``[memory' | hidden']`` as [..., 2H], where
+    memory' = f * memory + i * c and hidden' = o * tanh(memory'), with i, f, o
+    the sigmoids of their blocks and c the tanh of the candidate.
+
+    Forward and backward multiply in the same order as the cell written out in
+    sigmoid, tanh, mul and add ops would, so every result and gradient is
+    bit-identical to that composition.
+    """
+    hdim = memory.data.shape[-1]
+    if z.data.shape != memory.data.shape[:-1] + (4 * hdim,):
+        raise ShapeError(f"lstm_cell: gates {z.data.shape} for a memory {memory.data.shape}")
+    gates = _sigmoid(z.data[..., :3 * hdim])
+    i, f, o = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
+    c = np.tanh(z.data[..., 3 * hdim:])
+    m_prev = memory.data
+    m = f * m_prev + i * c
+    tanh_m = np.tanh(m)
+
+    def bw(g, emit):
+        gh = g[..., hdim:]
+        gm = g[..., :hdim] + (gh * o) * (1.0 - tanh_m * tanh_m)
+        emit(z, np.concatenate([((gm * c) * i) * (1.0 - i),
+                                ((gm * m_prev) * f) * (1.0 - f),
+                                ((gh * tanh_m) * o) * (1.0 - o),
+                                (gm * i) * (1.0 - c * c)], axis=-1))
+        if memory.requires_grad:
+            emit(memory, gm * f)
+
+    return _node(np.concatenate([m, o * tanh_m], axis=-1), (z, memory), bw)
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

@@ -60,7 +60,14 @@ class Manifest:
         self.path = os.path.join(directory, "manifest.json")
         if os.path.exists(self.path):
             with open(self.path, encoding="utf-8") as fh:
-                owner = json.load(fh).get("subcommand")
+                try:
+                    existing = json.load(fh)
+                except ValueError:  # not JSON, or not UTF-8
+                    existing = None
+            if not isinstance(existing, dict):
+                raise CliError(f"{directory} holds a manifest.json that is not a JSON object; "
+                               "use another --out")
+            owner = existing.get("subcommand")
             if owner != subcommand:
                 raise CliError(f"{directory} holds the output of {owner!r}; use another --out")
         os.makedirs(directory, exist_ok=True)

@@ -15,6 +15,7 @@ File formats owned by this module:
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import string
@@ -54,12 +55,18 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 def write_bytes(path, chunks):
     """Write the byte strings ``chunks`` to ``path`` through a temporary
-    file and a rename, so a reader never sees a partial file and a failed
-    write leaves an earlier file whole; returns ``path``."""
+    file and a rename, so a reader never sees a partial file; returns
+    ``path``. If a chunk or the write raises, the temporary file is removed
+    and the error propagates, leaving an earlier file at ``path`` whole."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return path
 
 

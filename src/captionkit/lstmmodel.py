@@ -92,7 +92,8 @@ class LstmModel:
         probs). ``token_ids`` is one id per example: a single id for a [1, H]
         state, B ids for a [B, 1, H] state. probs are [1, vocab] or
         [B, 1, vocab]. Every product of a batch step is a one-row product
-        per example, as in a step of that example alone."""
+        per example, as in a step of that example alone. The gates, memory
+        and hidden state are one ``ad.lstm_cell`` node."""
         h = self.config.hidden_dim
         ids = np.reshape(token_ids, state.hidden.data.shape[:-1])
         emb = ad.embedding_lookup(self.params["word_embedding"], ids)
@@ -100,12 +101,8 @@ class LstmModel:
             ad.matmul(ad.concat((emb, state.hidden), axis=-1), self.params["gates_w"]),
             self.params["gates_b"],
         )
-        gate_in = ad.sigmoid(ad.slice_cols(z, 0, h))
-        gate_forget = ad.sigmoid(ad.slice_cols(z, h, 2 * h))
-        gate_out = ad.sigmoid(ad.slice_cols(z, 2 * h, 3 * h))
-        candidate = ad.tanh(ad.slice_cols(z, 3 * h, 4 * h))
-        memory = ad.add(ad.mul(gate_forget, state.memory), ad.mul(gate_in, candidate))
-        hidden = ad.mul(gate_out, ad.tanh(memory))
+        cell = ad.lstm_cell(z, state.memory)
+        memory, hidden = ad.slice_cols(cell, 0, h), ad.slice_cols(cell, h, 2 * h)
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
         return LstmState(hidden, memory), ad.softmax(logits, axis=-1)
 

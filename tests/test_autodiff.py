@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,116 @@ class TestGlu:
         expected = val / (1.0 + np.exp(-gate)) * 1.0
         assert np.allclose(ad.glu(t(x)).data, val * (1 / (1 + np.exp(-gate))), atol=1e-12)
         assert np.allclose(ad.glu(t(x)).data, expected, atol=1e-12)
+
+
+def _sigmoid_op(a):
+    # The sigmoid and tanh ops the LSTM cell was once composed of.
+    y = ad._sigmoid(a.data)
+
+    def bw(g, emit):
+        emit(a, g * y * (1.0 - y))
+
+    return ad._node(y, (a,), bw)
+
+
+def _tanh_op(a):
+    y = np.tanh(a.data)
+
+    def bw(g, emit):
+        emit(a, g * (1.0 - y * y))
+
+    return ad._node(y, (a,), bw)
+
+
+def composed_cell(z, memory):
+    """The LSTM cell written out in elementwise ops: the reference that
+    ``ad.lstm_cell`` must equal bit for bit."""
+    h = memory.data.shape[-1]
+    gate_in = _sigmoid_op(ad.slice_cols(z, 0, h))
+    gate_forget = _sigmoid_op(ad.slice_cols(z, h, 2 * h))
+    gate_out = _sigmoid_op(ad.slice_cols(z, 2 * h, 3 * h))
+    candidate = _tanh_op(ad.slice_cols(z, 3 * h, 4 * h))
+    new_memory = ad.add(ad.mul(gate_forget, memory), ad.mul(gate_in, candidate))
+    hidden = ad.mul(gate_out, _tanh_op(new_memory))
+    return ad.concat((new_memory, hidden), axis=-1)
+
+
+class TestLstmCell:
+    @pytest.mark.parametrize("lead, hdim", [((32, 1), 64), ((1,), 64), ((3,), 2), ((2, 1), 1)])
+    @pytest.mark.parametrize("memory_tracked", [True, False])
+    def test_equals_the_composed_cell(self, lead, hdim, memory_tracked):
+        rng = np.random.default_rng(hdim)
+        z0 = rng.normal(scale=2.0, size=lead + (4 * hdim,))
+        m0 = rng.normal(size=lead + (hdim,))
+        upstream = t(rng.normal(size=lead + (2 * hdim,)), grad=False)
+        results = []
+        for cell in (ad.lstm_cell, composed_cell):
+            z, memory = t(z0.copy()), t(m0.copy(), grad=memory_tracked)
+            out = cell(z, memory)
+            ad.backward(ad.sum_all(ad.mul(out, upstream)))
+            results.append((out.data, z.grad, memory.grad))
+        fused, composed = results
+        assert np.array_equal(fused[0], composed[0])
+        assert np.array_equal(fused[1], composed[1])
+        if memory_tracked:
+            assert np.array_equal(fused[2], composed[2])
+        else:
+            assert fused[2] is None and composed[2] is None
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        h = 3
+        z = t(rng.normal(size=(2, 1, 4 * h)))
+        memory = t(rng.normal(size=(2, 1, h)))
+        w = rng.normal(size=(2, 1, 2 * h))
+        ad.backward(ad.sum_all(ad.mul(ad.lstm_cell(z, memory), t(w, grad=False))))
+
+        def ref():
+            gates = 1.0 / (1.0 + np.exp(-z.data[..., :3 * h]))
+            i, f, o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
+            m = f * memory.data + i * np.tanh(z.data[..., 3 * h:])
+            return (np.concatenate([m, o * np.tanh(m)], axis=-1) * w).sum()
+
+        fd = finite_difference(ref, [z.data, memory.data])
+        assert_grads_close(z.grad, fd[0], rtol=1e-6)
+        assert_grads_close(memory.grad, fd[1], rtol=1e-6)
+
+
+def _sigmoid_by_glu(x):
+    """sigmoid(x) read from glu, as 1 * sigmoid(gate)."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    return ad.glu(t(np.concatenate([np.ones_like(x), x], axis=-1))).data[0]
+
+
+def _sigmoid_by_lstm_cell(x):
+    """sigmoid(x) read from lstm_cell as the forget gate times a memory of 1,
+    with a zero candidate."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    zero = np.zeros_like(x)
+    cell = ad.lstm_cell(t(np.concatenate([zero, x, zero, zero], axis=-1)), t(np.ones_like(x)))
+    return cell.data[0, :x.shape[-1]]
+
+
+@pytest.mark.parametrize("sigmoid", [_sigmoid_by_glu, _sigmoid_by_lstm_cell], ids=["glu", "lstm_cell"])
+class TestSigmoid:
+    def test_saturates_to_exact_zero_and_one_without_overflow(self, sigmoid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid([1000.0, -1000.0, 0.0]).tolist() == [1.0, 0.0, 0.5]
+
+    def test_symmetric_within_one_unit_in_the_last_place_of_one(self, sigmoid):
+        # 1 / (1 + e) and e / (1 + e) are each rounded twice; over this grid the
+        # largest gap measured is 1.66e-16, so the bound is eps = 2.2e-16.
+        x = np.concatenate([np.linspace(-40.0, 40.0, 20001),
+                            np.random.default_rng(0).normal(scale=5.0, size=5000)])
+        gap = np.abs(sigmoid(-x) - (1.0 - sigmoid(x)))
+        assert gap.max() <= np.finfo(np.float64).eps
+
+    def test_nan_propagates(self, sigmoid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid([np.nan, 2.0])
+        assert np.isnan(out[0]) and out[1] == 1.0 / (1.0 + math.exp(-2.0))
 
 
 class TestSoftmax:
@@ -423,6 +534,8 @@ def test_causal_conv_future_independence_property(seed, cut, K):
      "dropout: 1 generators for a batch of 2"),
     (lambda: ad.embedding_lookup(t(np.zeros((2, 4, 3))), np.zeros((3, 1), dtype=int)),
      "embedding_lookup: ids (3, 1) for a table (2, 4, 3)"),
+    (lambda: ad.lstm_cell(t(np.zeros((1, 8))), t(np.zeros((1, 3)))),
+     "lstm_cell: gates (1, 8) for a memory (1, 3)"),
 ])
 def test_shape_rejections_raise_shape_error(call, fragment):
     with pytest.raises(ad.ShapeError) as caught:

@@ -526,6 +526,21 @@ class TestOutputLocations:
         assert "CliError: " in err and "holds the output of 'synth'" in err
         assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == before
 
+    @pytest.mark.parametrize("contents", [b"[1, 2]\n", b"not json\n", b"\xff\xfe{}"],
+                             ids=["list", "not-json", "not-utf8"])
+    def test_a_manifest_that_is_not_a_json_object_is_refused(self, chain, tmp_path, capsys,
+                                                             contents):
+        out = tmp_path / "m"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(contents)
+        assert run(["caption", "--ckpt", chain / "train_lstm" / "checkpoints" / "best.ckpt",
+                    "--features", chain / "data" / "features.ccf", "--out", out / "caps.txt"]) == 1
+        err = capsys.readouterr().err
+        assert (f"CliError: {out} holds a manifest.json that is not a JSON object; "
+                "use another --out") in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_bytes() == contents
+
     def test_a_rerun_of_the_same_subcommand_overwrites_its_outputs(self, chain, tmp_path):
         out = tmp_path / "eval"
         argv = ["eval", "--ckpt", chain / "train_lstm" / "checkpoints" / "best.ckpt",

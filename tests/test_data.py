@@ -305,6 +305,28 @@ class TestWriteLines:
             data.write_bytes(path, chunks())
         assert path.read_bytes() == b"kept\n"
 
+    def test_a_failed_write_removes_its_temporary_file(self, tmp_path):
+        path = data.write_lines(tmp_path / "out.txt", ["kept"])
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            data.write_bytes(path, chunks())
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            data.write_bytes(tmp_path / "taken", [b"renamed onto a directory"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "taken"]
+        assert path.read_bytes() == b"kept\n"
+
+    def test_write_lines_given_a_non_string_writes_nothing(self, tmp_path):
+        path = data.write_lines(tmp_path / "out.txt", ["kept"])
+        with pytest.raises(TypeError):
+            data.write_lines(path, ["a", 3])
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_bytes() == b"kept\n"
+
 
 def _features(global_dim=3, grid=None):
     rng = np.random.default_rng(0)

@@ -58,6 +58,26 @@ class TestStep:
             fd = finite_difference(loss_value, [tensor.data])[0]
             assert_grads_close(tensor.grad, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_a_step_builds_at_most_ten_op_results(self, batch, monkeypatch):
+        model = randomized(lm.init_params(tiny_config(), 0), 1)
+        if batch is None:
+            features, tokens = tiny_features(2), 4
+        else:
+            features, tokens = [tiny_features(s) for s in range(batch)], [4, 0, 6]
+        state = model.init_state(features)
+        node, made = ad._node, []
+
+        def counting_node(data, parents, bw):
+            made.append(bw)
+            return node(data, parents, bw)
+
+        monkeypatch.setattr(ad, "_node", counting_node)
+        for step in (1, 2):
+            state, probs = model.step(state, tokens)
+            assert len(made) <= 10 * step
+        assert probs.requires_grad
+
     def test_out_of_vocab_rejected(self):
         model = lm.init_params(tiny_config(), 0)
         with pytest.raises(ad.OutOfVocabularyError):
