@@ -129,32 +129,27 @@ def nll_loss(probs: Tensor, target, reduction: str = "mean",
              stats: LossStats | None = None, batch_mean: bool = True) -> Tensor:
     """Negative log-likelihood of the unpadded target positions.
 
-    ``probs`` is [T, V] for one example with ``target`` its TokenSeq, or
-    [B, T, V] for a batch with ``target`` a list of B TokenSeqs; the loss of
-    a batch is the mean over its examples of each example's loss, or their
-    sum when ``batch_mean`` is false (each example's gradients are then
-    exactly those of its own loss). Probabilities below 1e-12 (in particular
-    exact zeros) are clamped there, and each such event in an unpadded
-    position bumps ``stats.clamped`` when a stats object is given. ``mean``
-    divides an example's sum by its number of unpadded positions; ``sum``
-    does not.
+    ``probs`` is [B, T, V] with ``target`` a list of B TokenSeqs. The loss
+    is the mean over the examples of each example's loss, or their sum when
+    ``batch_mean`` is false (each example's gradients are then exactly those
+    of its own loss). Probabilities below 1e-12 (in particular exact zeros)
+    are clamped there, and each such event in an unpadded position bumps
+    ``stats.clamped`` when a stats object is given. ``mean`` divides an
+    example's sum by its number of unpadded positions; ``sum`` does not.
     """
-    single = isinstance(target, TokenSeq)
-    seqs = [target] if single else list(target)
-    if probs.data.ndim != (2 if single else 3) or not (single or probs.data.shape[0] == len(seqs)):
+    seqs = list(target)
+    if probs.data.ndim != 3 or probs.data.shape[0] != len(seqs):
         raise ad.ShapeError(f"probabilities {probs.data.shape} for {len(seqs)} target sequence(s)")
     lengths = np.array([seq.valid_len for seq in seqs])
     rows = int(lengths.max())
-    if probs.data.shape[-2] < rows:
-        raise ad.ShapeError(f"{probs.data.shape[-2]} probability rows for {rows} target positions")
+    if probs.data.shape[1] < rows:
+        raise ad.ShapeError(f"{probs.data.shape[1]} probability rows for {rows} target positions")
     ids = np.stack([seq.target_ids[:rows] for seq in seqs])
     valid = np.arange(rows) < lengths[:, None]
     per_example = -1.0 / lengths if reduction == "mean" else np.full(len(seqs), -1.0)
     if batch_mean:
         per_example = per_example * (1.0 / len(seqs))
     weights = np.where(valid, per_example[:, None], 0.0)
-    if single:
-        ids, valid, weights = ids[0], valid[0], weights[0]
     sel = ad.pick(probs, ids)
     if stats is not None:
         stats.clamped += int(np.count_nonzero((sel.data < PROB_FLOOR) & valid))

@@ -412,11 +412,10 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
 def dropout(x: Tensor, p: float, rng, train_mode: bool, positions: int | None = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by 1/(1-p).
 
-    Identity when not training or p == 0. ``rng`` is an integer seed or a
-    numpy Generator; a fixed seed gives a bit-reproducible mask. For a batch,
-    ``rng`` is a list with one seed or Generator per example (the leading
-    axis of ``x``), and each example's mask is drawn from its own stream with
-    the shape ``x.shape[1:]`` that the example alone would have.
+    Identity when not training or p == 0. ``rng`` is a list with one integer
+    seed or numpy Generator per example (the leading axis of ``x``), and each
+    example's mask is drawn from its own stream with the shape ``x.shape[1:]``
+    that the example alone has; a fixed seed gives a bit-reproducible mask.
 
     ``positions`` makes the mask per position: an example's rows (its first
     axis) are drawn as ``max(rows, positions)`` rows and the first ``rows``
@@ -428,18 +427,11 @@ def dropout(x: Tensor, p: float, rng, train_mode: bool, positions: int | None = 
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train_mode or p == 0.0:
         return x
-
-    def draw(r, shape):
-        if positions is None:
-            return as_generator(r).random(shape)
-        return as_generator(r).random((max(shape[0], positions),) + shape[1:])[:shape[0]]
-
-    if isinstance(rng, list):
-        if len(rng) != x.data.shape[0]:
-            raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
-        draws = np.stack([draw(r, x.data.shape[1:]) for r in rng])
-    else:
-        draws = draw(rng, x.data.shape)
+    if len(rng) != x.data.shape[0]:
+        raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
+    rows = x.data.shape[1]
+    shape = x.data.shape[1:] if positions is None else (max(rows, positions),) + x.data.shape[2:]
+    draws = np.stack([as_generator(r).random(shape)[:rows] for r in rng])
     factor = (draws >= p) / (1.0 - p)
 
     def bw(g, emit):
@@ -502,14 +494,14 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def tile_rows(x: Tensor, n: int) -> Tensor:
-    """Repeat a single row n times: [D] or [1, D] into [n, D], and a batch of
-    rows [B, 1, D] into [B, n, D]."""
-    row = x.data if x.data.ndim == 3 else x.data.reshape(1, -1)
+    """Repeat each example's single row n times: [B, 1, D] into [B, n, D]."""
+    if x.data.ndim != 3 or x.data.shape[1] != 1:
+        raise ShapeError(f"tile_rows: expected [B, 1, D], got {x.data.shape}")
 
     def bw(g, emit):
-        emit(x, g.sum(axis=-2).reshape(x.data.shape))
+        emit(x, g.sum(axis=1, keepdims=True))
 
-    return _node(np.repeat(row, n, axis=-2), (x,), bw)
+    return _node(np.repeat(x.data, n, axis=1), (x,), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -528,13 +520,12 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def pick(probs: Tensor, col_ids) -> Tensor:
-    """probs[i, col_ids[i]] for i over the first len(col_ids) rows; for a
-    batch [B, T, V] with ids [B, T'], probs[b, i, col_ids[b, i]] over the
-    first T' rows of each example."""
+    """probs[b, i, col_ids[b, i]] for a batch [B, T, V] with ids [B, T'],
+    over the first T' rows of each example."""
     col_ids = np.asarray(col_ids, dtype=np.int64)
-    index = (np.arange(col_ids.shape[-1]), col_ids)
-    if col_ids.ndim == 2:
-        index = (np.arange(col_ids.shape[0])[:, None],) + index
+    if col_ids.ndim != 2:
+        raise ShapeError(f"pick: expected ids [B, T'], got {col_ids.shape}")
+    index = (np.arange(col_ids.shape[0])[:, None], np.arange(col_ids.shape[1]), col_ids)
 
     def bw(g, emit):
         dp = np.zeros_like(probs.data)

@@ -6,8 +6,8 @@ doing any work (status ``running``) and finalizes it with the produced files
 and their SHA-256 checksums (status ``complete``), or marks it ``failed``;
 a run is reproducible from its manifest alone. No timestamps are recorded,
 so identical invocations produce byte-identical outputs. A location holding
-another subcommand's manifest is refused. Every output but the per-epoch
-``metrics.csv`` rows goes through ``data.write_bytes`` (a temp file renamed).
+another subcommand's manifest is refused. Every output goes through
+``data.write_bytes`` (a temp file renamed).
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
 Recognized keys are the field names of TrainConfig and of the model's config
@@ -240,6 +240,9 @@ def cmd_synth(args) -> int:
         },
         args.seed, {},
     ) as manifest:
+        # 1.0 is refused below: it leaves no training scenes.
+        if not 0.0 <= args.val_fraction <= 1.0:
+            raise CliError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
         records, _ = synth_corpus(
             args.scenes, args.seed,
             feature_dim=args.feature_dim, grid_size=args.grid,
@@ -376,6 +379,9 @@ def cmd_analyze(args) -> int:
         {"beam": args.beam, "limit": args.limit, "positions": args.positions},
         None, {"ckpt": args.ckpt, "ckpt2": args.ckpt2, "data": args.data},
     ) as manifest:
+        for flag, value in (("--limit", args.limit), ("--positions", args.positions)):
+            if value < 1:
+                raise CliError(f"{flag} must be >= 1, got {value}")
         splits, _ = _load_dataset(args.data)
         loaded = [_load_model_checkpoint(path) for path in (args.ckpt, args.ckpt2) if path]
         if len(loaded) == 2 and loaded[0].kind == loaded[1].kind:

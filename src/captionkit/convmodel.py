@@ -130,8 +130,7 @@ def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
 @dataclass
 class DecoderState:
     """What one forward pass leaves behind: when attention is enabled, the
-    [T, G*G] attention map of each layer, with a leading batch axis for a
-    batch forward."""
+    [B, T, G*G] attention map of each layer."""
 
     attention_maps: list[np.ndarray]
 
@@ -155,53 +154,48 @@ class CaptionModel:
             return [ad.weight_norm(p[f"conv{i}_v"], p[f"conv{i}_g"]) for i in layers]
         return [p[f"conv{i}_kernel"] for i in layers]
 
-    def embed_image(self, features, train_mode: bool = False, rng=0) -> Tensor:
-        """dropout -> relu -> linear on the global feature vector: [1, D] for
-        one ImageFeatures, [B, 1, D] for a list of B (``rng`` is then a list
-        of B generators)."""
+    def embed_image(self, features, train_mode: bool = False, rng=None) -> Tensor:
+        """dropout -> relu -> linear on the global feature vectors of a list
+        of B ImageFeatures: [B, 1, D]. ``rng`` is a list of B generators when
+        dropout draws."""
         x = Tensor(global_rows(features, self.config.feature_dim))
         x = ad.dropout(x, self.config.dropout_p, rng, train_mode)
         return ad.add(ad.matmul(ad.relu(x), self.params["image_w"]), self.params["image_b"])
 
     def _spatial(self, features) -> Tensor | None:
-        """The checked spatial grid when attention is enabled: [G*G, C] for
-        one ImageFeatures, [B, G*G, C] for a list of B."""
+        """The checked spatial grids [B, G*G, C] of a list of B ImageFeatures
+        when attention is enabled."""
         cfg = self.config
         if not cfg.attention:
             return None
-        single = isinstance(features, ImageFeatures)
-        batch = [features] if single else features
-        if any(f.spatial is None for f in batch):
+        if any(f.spatial is None for f in features):
             raise MissingFeatureError("attention model needs spatial features")
-        spatial = np.stack([f.spatial_flat() for f in batch])
+        spatial = np.stack([f.spatial_flat() for f in features])
         if spatial.shape[-2:] != (cfg.grid_size**2, cfg.spatial_channels):
             raise ad.ShapeError(
-                f"spatial grid {batch[0].spatial.shape} does not match configured "
+                f"spatial grid {features[0].spatial.shape} does not match configured "
                 f"({cfg.grid_size}, {cfg.grid_size}, {cfg.spatial_channels})"
             )
-        return Tensor(spatial[0] if single else spatial)
+        return Tensor(spatial)
 
-    def forward(self, ids, features, train_mode: bool = False, seed=0):
-        """Probabilities for every position of input-view id sequences.
+    def forward(self, ids, features, train_mode: bool = False, seed=None):
+        """Probabilities for every position of a batch of input-view id
+        sequences.
 
-        ``ids`` is the start-token-prefixed view: one sequence [T] with its
-        ImageFeatures and an integer dropout ``seed``, or a batch [B, T] with
-        a list of B ImageFeatures and a list of B seeds. Each example of a
-        batch draws its dropout masks from its own seed, and every product is
+        ``ids`` is the start-token-prefixed view [B, T], with a list of B
+        ImageFeatures and, when dropout draws, a list of B seeds. Each example
+        draws its dropout masks from its own seed, and every product is
         issued per example, so its rows are bit-identical to a forward of
         that example alone. No generator is built when dropout is off (in
         evaluation mode, or with ``dropout_p`` 0). Row i of an example's
         result is the distribution over the token at position i+1 given
-        tokens <= i and the image. Returns (probs Tensor [T, vocab] or
-        [B, T, vocab], DecoderState).
+        tokens <= i and the image. Returns (probs Tensor [B, T, vocab],
+        DecoderState).
         """
         cfg = self.config
         ids = model_ids(ids, features)
-        single = ids.ndim == 1
         if not train_mode or cfg.dropout_p == 0.0:
             rng = None  # dropout is the identity and draws nothing
-        elif single:
-            rng = ad.as_generator(seed)
         elif np.ndim(seed) != 1 or len(seed) != ids.shape[0]:
             raise ValueError(f"a batch of {ids.shape[0]} needs one dropout seed per example")
         else:
@@ -214,10 +208,10 @@ class CaptionModel:
                 train_mode: bool, rng):
         """The layer body of every pass, training and decoding alike: word and
         image embeddings, the conv layers over ``kernels`` and the classifier,
-        for ids [T] or [B, T] with the image embedding and grid of that shape."""
+        for ids [B, T] with B image embeddings and grids."""
         cfg = self.config
         words = ad.embedding_lookup(self.params["word_embedding"], ids)
-        h = ad.concat((words, ad.tile_rows(image, ids.shape[-1])), axis=-1)
+        h = ad.concat((words, ad.tile_rows(image, ids.shape[1])), axis=-1)
 
         attention_maps = []
         for layer in range(cfg.num_layers):
@@ -256,20 +250,20 @@ class CaptionModel:
         return (view, kernels, ids, image, spatial), probs.data[:, -1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
-        """Evaluation-mode probabilities as a plain array."""
-        probs, _ = self.forward(ids, features, train_mode=False)
-        return probs.data
+        """Evaluation-mode probabilities [T, vocab] of one image's ids [T]:
+        row 0 of a batch of one."""
+        probs, _ = self.forward(np.asarray(ids)[None], [features])
+        return probs.data[0]
 
 
 def attend(d: Tensor, spatial: Tensor, w: Tensor):
-    """Attention for all rows of d at once: d [T, H] with spatial [G*G, C]
-    (a single decoding step is d_j as a [1, H] row), or a batch d [B, T, H]
-    with spatial [B, G*G, C].
+    """Attention for all rows of a batch d [B, T, H] at once, over the spatial
+    grids [B, G*G, C].
 
     scores[j, i] = (w^T d_j) . c_i over the G*G locations i; rows are
     softmax-normalized and the context is the score-weighted sum of the
-    spatial cells. Returns (context [T, C], attention weights [T, G*G]),
-    with a leading batch axis for a batch; each row of weights sums to 1.
+    spatial cells. Returns (context [B, T, C], attention weights
+    [B, T, G*G]); each row of weights sums to 1.
     """
     scores = ad.matmul(ad.matmul(d, w), ad.transpose(spatial))
     amap = ad.softmax(scores, axis=-1)

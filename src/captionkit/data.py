@@ -242,29 +242,23 @@ class ImageFeatures:
 
 
 def model_ids(ids, features) -> np.ndarray:
-    """Check a model's inputs and return the ids as int64: one non-empty id
-    sequence [T] with its ImageFeatures, or a batch [B, T] with a list of B
-    ImageFeatures."""
+    """Check a model's inputs, a batch [B, T] of id sequences with a list of
+    B ImageFeatures, and return the ids as int64."""
     ids = np.asarray(ids, dtype=np.int64)
-    single = isinstance(features, ImageFeatures)
-    if ids.size < 1 or ids.ndim != (1 if single else 2):
-        raise ShapeError(
-            f"ids must be a non-empty [T] sequence for one image or [B, T] for a "
-            f"list of images, got shape {ids.shape}"
-        )
-    if not single and len(features) != ids.shape[0]:
+    if ids.size < 1 or ids.ndim != 2:
+        raise ShapeError(f"ids must be a non-empty [T] sequence per image, stacked as "
+                         f"[B, T], got shape {ids.shape}")
+    if not isinstance(features, list):
+        raise ShapeError(f"features must be a list of ImageFeatures, got {type(features).__name__}")
+    if len(features) != ids.shape[0]:
         raise ShapeError(f"{ids.shape[0]} id sequences for {len(features)} images")
     return ids
 
 
 def global_rows(features, feature_dim: int) -> np.ndarray:
-    """Global feature vectors as one-row inputs: [1, F] for one
-    ImageFeatures, [B, 1, F] for a list of B, checked against the configured
-    dimension F."""
-    if isinstance(features, ImageFeatures):
-        rows = features.global_vec.reshape(1, -1)
-    else:
-        rows = np.stack([f.global_vec.reshape(1, -1) for f in features])
+    """Global feature vectors of a list of B ImageFeatures as one-row inputs
+    [B, 1, F], checked against the configured dimension F."""
+    rows = np.stack([f.global_vec.reshape(1, -1) for f in features])
     if rows.shape[-1] != feature_dim:
         raise ShapeError(f"global feature dim {rows.shape[-1]} != configured {feature_dim}")
     if not np.all(np.isfinite(rows)):
@@ -419,8 +413,11 @@ def synth_corpus(
     Record.meta stores the attribute tuple and the patch cells so tests can
     re-derive captions and measure attention mass.
     """
-    if num_scenes < 1:
-        raise ValueError(f"num_scenes must be >= 1, got {num_scenes}")
+    for name, value, least in (("num_scenes", num_scenes, 1), ("feature_dim", feature_dim, 1),
+                               ("grid_size", grid_size, SYNTH_BLOCK),
+                               ("spatial_channels", spatial_channels, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
 
     # Fixed tables first, so the per-scene stream is independent of their size.

@@ -34,8 +34,7 @@ class LstmConfig:
 
 @dataclass
 class LstmState:
-    """The cell state after a step: [1, H] for one example, [B, 1, H] for a
-    batch."""
+    """The cell state [B, 1, H] of a batch after a step."""
 
     hidden: Tensor
     memory: Tensor
@@ -81,19 +80,18 @@ class LstmModel:
         return self.params
 
     def init_state(self, features) -> LstmState:
-        """h0 = linear(relu(global feature)), m0 = 0: [1, H] for one
-        ImageFeatures, [B, 1, H] for a list of B."""
+        """h0 = linear(relu(global feature)) and m0 = 0, each [B, 1, H] for a
+        list of B ImageFeatures."""
         x = ad.relu(Tensor(global_rows(features, self.config.feature_dim)))
         h0 = ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
         return LstmState(hidden=h0, memory=Tensor(np.zeros(h0.data.shape)))
 
     def step(self, state: LstmState, token_ids):
         """One cell update conditioned on (state, tokens); returns (state',
-        probs). ``token_ids`` is one id per example: a single id for a [1, H]
-        state, B ids for a [B, 1, H] state. probs are [1, vocab] or
-        [B, 1, vocab]. Every product of a batch step is a one-row product
-        per example, as in a step of that example alone. The gates, memory
-        and hidden state are one ``ad.lstm_cell`` node."""
+        probs). ``token_ids`` holds one id per example of the [B, 1, H]
+        state, and probs are [B, 1, vocab]. Every product is a one-row
+        product per example, as in a step of that example alone. The gates,
+        memory and hidden state are one ``ad.lstm_cell`` node."""
         h = self.config.hidden_dim
         ids = np.reshape(token_ids, state.hidden.data.shape[:-1])
         emb = ad.embedding_lookup(self.params["word_embedding"], ids)
@@ -106,12 +104,11 @@ class LstmModel:
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
         return LstmState(hidden, memory), ad.softmax(logits, axis=-1)
 
-    def forward(self, ids, features, train_mode: bool = False, seed=0):
-        """Sequential unroll over input-view ids: one sequence [T] with its
-        ImageFeatures gives [T, vocab] probs; a batch [B, T] with a list of B
-        ImageFeatures steps all B examples together and gives [B, T, vocab],
-        each example's rows bit-identical to its own unroll. Returns (probs,
-        the last state).
+    def forward(self, ids, features, train_mode: bool = False, seed=None):
+        """Sequential unroll over input-view ids [B, T] with a list of B
+        ImageFeatures: all B examples step together and give [B, T, vocab]
+        probs, each example's rows bit-identical to its own unroll. Returns
+        (probs, the last state).
 
         train_mode/seed are accepted for interface parity with the
         convolutional model; the baseline uses no dropout.
@@ -119,10 +116,10 @@ class LstmModel:
         ids = model_ids(ids, features)
         state = self.init_state(features)
         rows = []
-        for t in range(ids.shape[-1]):
-            state, probs = self.step(state, ids[..., t])
+        for t in range(ids.shape[1]):
+            state, probs = self.step(state, ids[:, t])
             rows.append(probs)
-        return ad.concat(rows, axis=ids.ndim - 1), state
+        return ad.concat(rows, axis=1), state
 
     def start(self, features: ImageFeatures):
         """Decoding state of the empty hypothesis: an untracked view of the
@@ -139,5 +136,7 @@ class LstmModel:
         return (view, cell), probs.data[:, -1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
-        probs, _ = self.forward(ids, features, train_mode=False)
-        return probs.data
+        """Evaluation-mode probabilities [T, vocab] of one image's ids [T]:
+        row 0 of a batch of one."""
+        probs, _ = self.forward(np.asarray(ids)[None], [features])
+        return probs.data[0]

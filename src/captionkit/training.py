@@ -16,7 +16,8 @@ from captionkit import autodiff as ad
 from captionkit.analysis import LossStats, nll_loss, teacher_forced_ids
 from captionkit.autodiff import Tensor
 from captionkit.checkpoint import save_checkpoint
-from captionkit.data import EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode
+from captionkit.data import (EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode,
+                             write_lines)
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -138,6 +139,11 @@ def train(
     val record, both measured after the epoch's updates with dropout off, so
     a resumed run evaluates the epochs an uninterrupted one would; the
     best-validation-loss checkpoint is retained alongside the latest one.
+
+    With ``out_dir``, each epoch rewrites ``metrics.csv`` before its
+    checkpoints, and a resumed run keeps the file's rows of the epochs before
+    ``start_epoch``. A run killed at any point and resumed from
+    ``last.ckpt`` then has one row per epoch and split.
     """
     if not train_examples:
         raise EmptyCorpusError("cannot train on an empty corpus")
@@ -145,16 +151,16 @@ def train(
     optimizer = RmsProp(params, config.rms_alpha, config.rms_epsilon)
     result = TrainResult()
 
-    metrics_path = None
     ckpt_dir = None
+    metrics = [analysis.METRICS_CSV_HEADER]
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.csv")
-        if start_epoch == 0 or not os.path.exists(metrics_path):
-            with open(metrics_path, "w", encoding="utf-8") as fh:
-                fh.write(analysis.METRICS_CSV_HEADER + "\n")
+        if start_epoch > 0 and os.path.exists(metrics_path):
+            with open(metrics_path, encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+            metrics += [row for row in rows if int(row.split(",", 1)[0]) < start_epoch]
 
     train_probe = train_examples[: config.probe_size]
     val_probe = val_examples[: config.probe_size]
@@ -180,24 +186,22 @@ def train(
             or epoch == start_epoch + config.epochs - 1
         )
         if evaluate:
-            val_record = analysis.grad_norm_probe(model, val_probe, config.batch_size).record(
-                epoch, "val")
-            records.append(val_record)
-            if val_record.loss < result.best_val_loss:
-                result.best_val_loss = val_record.loss
-                result.best_epoch = epoch
-                if ckpt_dir is not None:
-                    result.best_path = os.path.join(ckpt_dir, "best.ckpt")
-                    save_checkpoint(result.best_path, model, seed=config.seed,
-                                    epoch=epoch, vocab=vocab)
+            records.append(analysis.grad_norm_probe(model, val_probe, config.batch_size)
+                           .record(epoch, "val"))
+        result.history.extend(records)
+        improved = evaluate and records[-1].loss < result.best_val_loss
+        if improved:
+            result.best_val_loss = records[-1].loss
+            result.best_epoch = epoch
         if ckpt_dir is not None:
+            metrics += [record.csv_row() for record in records]
+            write_lines(metrics_path, metrics)
+            if improved:
+                result.best_path = os.path.join(ckpt_dir, "best.ckpt")
+                save_checkpoint(result.best_path, model, seed=config.seed,
+                                epoch=epoch, vocab=vocab)
             result.last_path = os.path.join(ckpt_dir, "last.ckpt")
             save_checkpoint(result.last_path, model, seed=config.seed, epoch=epoch, vocab=vocab)
-        result.history.extend(records)
-        if metrics_path is not None:
-            with open(metrics_path, "a", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(record.csv_row() + "\n")
         if log is not None:
             head = records[0]
             tail = records[-1]

@@ -58,8 +58,9 @@ def test_criterion_1_gradient_correctness():
     )
 
     def check(model, tag):
-        probs, _ = model.forward(ids, feats)
-        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets))), ad.Tensor(-1.0 / len(targets)))
+        probs, _ = model.forward(ids[None], [feats])
+        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets[None]))),
+                      ad.Tensor(-1.0 / len(targets)))
         ad.zero_gradients(model.parameters())
         ad.backward(loss)
 
@@ -235,13 +236,13 @@ def test_criterion_6_attention_sanity(converged_run):
     mass = 0.0
     count = 0
     for ex, rec in zip(run["val_examples"], run["val_records"]):
-        _, state = run["model"].forward(ex.seq.input_ids, ex.features)
+        _, state = run["model"].forward(ex.seq.input_ids[None], [ex.features])
         cells = [r * grid + c for r, c in rec.meta["block"]]
         block_fraction = len(cells) / grid**2
         # target row 2 emits the object token under the template grammar
         assert run["vocab"].decode_id(int(ex.seq.target_ids[2])) == rec.meta["object"]
         for amap in state.attention_maps:
-            mass += float(amap[2, cells].sum())
+            mass += float(amap[0, 2, cells].sum())
             count += 1
     mean_mass = mass / count
     assert mean_mass >= 2.0 * block_fraction, (

@@ -218,9 +218,9 @@ class TestGradNormProbe:
         ex = examples[0]
         probe = analysis.grad_norm_probe(model, examples)
         ad.zero_gradients(model.params)
-        probs, _ = model.forward(ex.seq.input_ids, ex.features)
+        probs, _ = model.forward(ex.seq.input_ids[None], [ex.features])
         rows = ex.seq.valid_len
-        sel = ad.pick(probs, ex.seq.target_ids[:rows])
+        sel = ad.pick(probs, ex.seq.target_ids[None, :rows])
         loss = ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows))
         ad.backward(loss)
         assert probe.grad_norm_in == pytest.approx(
@@ -244,10 +244,11 @@ class TestGradNormProbe:
         from captionkit import autodiff as ad
 
         ad.zero_gradients(model.params)
-        probs, _ = model.forward(ex.seq.input_ids, ex.features)
+        probs, _ = model.forward(ex.seq.input_ids[None], [ex.features])
         rows = ex.seq.valid_len
         loss = ad.mul(
-            ad.sum_all(ad.log(ad.pick(probs, ex.seq.target_ids[:rows]))), ad.Tensor(-1.0 / rows)
+            ad.sum_all(ad.log(ad.pick(probs, ex.seq.target_ids[None, :rows]))),
+            ad.Tensor(-1.0 / rows),
         )
         ad.backward(loss)
 
@@ -293,9 +294,9 @@ class TestMeasurementPass:
         norm_out = 0.0
         for ex in examples:
             ad.zero_gradients(model.params)
-            probs, _ = model.forward(ex.seq.input_ids, ex.features)
+            probs, _ = model.forward(ex.seq.input_ids[None], [ex.features])
             rows = ex.seq.valid_len
-            sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[:rows]), 1e-12)
+            sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[None, :rows]), 1e-12)
             ad.backward(ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows)))
             norm_in += float(np.linalg.norm(model.params["word_embedding"].grad))
             norm_out += float(np.linalg.norm(model.params["output_w"].grad))
@@ -435,7 +436,7 @@ class TestAnalysisRecord:
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda seq: analysis.nll_loss(ad.Tensor(np.full((2, 3, 5), 0.2)), [seq]), ad.ShapeError,
      "probabilities (2, 3, 5) for 1 target sequence(s)"),
-    (lambda seq: analysis.nll_loss(ad.Tensor(np.full((2, 5), 0.2)), seq), ad.ShapeError,
+    (lambda seq: analysis.nll_loss(ad.Tensor(np.full((1, 2, 5), 0.2)), [seq]), ad.ShapeError,
      "2 probability rows for 3 target positions"),
     (lambda seq: analysis.bleu([["a"]], [[]]), ValueError,
      "every candidate needs at least one reference"),

@@ -269,23 +269,23 @@ class TestElementwiseSuite:
         assert ad.dropout(x, 0.5, 7, train_mode=False, positions=5) is x
 
     def test_dropout_seed_reproducible(self):
-        x = t(np.ones((20, 20)))
-        a = ad.dropout(x, 0.4, 123, train_mode=True).data
-        b = ad.dropout(x, 0.4, 123, train_mode=True).data
+        x = t(np.ones((1, 20, 20)))
+        a = ad.dropout(x, 0.4, [123], train_mode=True).data
+        b = ad.dropout(x, 0.4, [123], train_mode=True).data
         assert np.array_equal(a, b)
 
     def test_dropout_mask_mean_within_3_sigma(self):
         p = 0.3
         n = 100_000
-        x = t(np.ones(n))
-        out = ad.dropout(x, p, 99, train_mode=True).data
+        x = t(np.ones((1, n)))
+        out = ad.dropout(x, p, [99], train_mode=True).data
         survivors = np.count_nonzero(out) / n
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(survivors - (1.0 - p)) <= 3.0 * sigma
 
     def test_dropout_gradient_is_mask(self):
-        x = t(np.ones((4, 4)))
-        out = ad.dropout(x, 0.5, 5, train_mode=True)
+        x = t(np.ones((1, 4, 4)))
+        out = ad.dropout(x, 0.5, [5], train_mode=True)
         ad.backward(ad.sum_all(out))
         assert np.array_equal(x.grad, out.data)  # survivors carry 1/(1-p)
 
@@ -298,12 +298,12 @@ class TestElementwiseSuite:
         # mask a draw of P rows would give, and the stream moves on by P
         # rows; at r >= P the argument changes nothing.
         x = np.random.default_rng(3).normal(size=(6, 5))
-        full = ad.dropout(t(x), 0.4, 21, True).data
+        full = ad.dropout(t(x[None]), 0.4, [21], True).data[0]
         for positions in (1, 4, 6):
-            assert np.array_equal(ad.dropout(t(x), 0.4, 21, True, positions).data, full)
+            assert np.array_equal(ad.dropout(t(x[None]), 0.4, [21], True, positions).data[0], full)
         for rows in range(1, 7):
             rng = ad.as_generator(21)
-            cut = ad.dropout(t(x[:rows]), 0.4, rng, True, positions=6).data
+            cut = ad.dropout(t(x[None, :rows]), 0.4, [rng], True, positions=6).data[0]
             assert np.array_equal(cut, full[:rows]), rows
             reference = ad.as_generator(21)
             reference.random((6, 5))
@@ -495,9 +495,9 @@ def test_replay_is_bit_identical():
     rng_data = np.random.default_rng(10).normal(size=(5, 4))
 
     def run():
-        x = t(rng_data.copy())
+        x = t(rng_data.copy()[None])
         kernel = t(np.random.default_rng(11).normal(size=(2, 4, 8)))
-        out = ad.glu(ad.causal_conv1d(ad.dropout(x, 0.25, 42, True), kernel, t(np.zeros(8))))
+        out = ad.glu(ad.causal_conv1d(ad.dropout(x, 0.25, [42], True), kernel, t(np.zeros(8))))
         loss = ad.sum_all(out)
         ad.backward(loss)
         return out.data.copy(), x.grad.copy(), kernel.grad.copy()
@@ -536,6 +536,8 @@ def test_causal_conv_future_independence_property(seed, cut, K):
      "embedding_lookup: ids (3, 1) for a table (2, 4, 3)"),
     (lambda: ad.lstm_cell(t(np.zeros((1, 8))), t(np.zeros((1, 3)))),
      "lstm_cell: gates (1, 8) for a memory (1, 3)"),
+    (lambda: ad.tile_rows(t(np.zeros((1, 4))), 3), "tile_rows: expected [B, 1, D], got (1, 4)"),
+    (lambda: ad.pick(t(np.zeros((1, 3, 5))), [0, 1]), "pick: expected ids [B, T'], got (2,)"),
 ])
 def test_shape_rejections_raise_shape_error(call, fragment):
     with pytest.raises(ad.ShapeError) as caught:

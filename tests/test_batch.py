@@ -140,7 +140,7 @@ class TestBatchedOps:
         x = self.rng.normal(size=(3, 4, 5))
         batched = ad.dropout(t(x), 0.3, [11, 12, 13], True).data
         for b, seed in enumerate((11, 12, 13)):
-            assert np.array_equal(batched[b], ad.dropout(t(x[b]), 0.3, seed, True).data)
+            assert np.array_equal(batched[b], ad.dropout(t(x[b][None]), 0.3, [seed], True).data[0])
 
 
 def cnn_model(vocab_size):
@@ -193,9 +193,10 @@ def test_batch_matches_per_example_forwards(kind, reduction):
     rows = []
     losses = []
     for ex, seed in zip(examples, seeds):
-        single, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=True, seed=seed)
-        rows.append(single.data)
-        losses.append(nll_loss(single, ex.seq, reduction))
+        single, _ = model.forward(ex.seq.input_ids[None], [ex.features], train_mode=True,
+                                  seed=[seed])
+        rows.append(single.data[0])
+        losses.append(nll_loss(single, [ex.seq], reduction))
     ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
 
     assert probs.data.shape == (5,) + rows[0].shape
@@ -207,11 +208,22 @@ def test_batch_matches_per_example_forwards(kind, reduction):
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
 def test_one_dimensional_ids_equal_a_batch_of_one(kind):
+    # forward_probs takes one image's [T] ids: row 0 of a batch of one.
     model, examples = model_and_examples(kind)
     ex = examples[2]
-    single, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=True, seed=21)
-    batch, _ = model.forward(ex.seq.input_ids[None], [ex.features], train_mode=True, seed=[21])
-    assert np.array_equal(batch.data[0], single.data)
+    single = model.forward_probs(ex.seq.input_ids, ex.features)
+    batch, _ = model.forward(ex.seq.input_ids[None], [ex.features])
+    assert np.array_equal(batch.data[0], single)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_forward_rejects_one_dimensional_ids(kind):
+    model, examples = model_and_examples(kind)
+    ex = examples[2]
+    with pytest.raises(ad.ShapeError, match=r"stacked as \[B, T\]"):
+        model.forward(ex.seq.input_ids, [ex.features])
+    with pytest.raises(ad.ShapeError, match="a list of ImageFeatures"):
+        model.forward(ex.seq.input_ids[None], ex.features)
 
 
 def test_batch_needs_one_dropout_seed_per_example():
@@ -229,7 +241,7 @@ def test_clamped_count_is_the_per_example_sum():
     probs[1, 1, 4] = 0.5
     per_example = LossStats()
     for b, seq in enumerate(seqs):
-        nll_loss(t(probs[b]), seq, stats=per_example)
+        nll_loss(t(probs[b][None]), [seq], stats=per_example)
     batched = LossStats()
     nll_loss(t(probs), seqs, stats=batched)
     assert per_example.clamped == 2 + 3
@@ -247,9 +259,9 @@ def reference_epoch(model, examples, config):
         losses = []
         for idx in order[lo:lo + config.batch_size]:
             ex = examples[idx]
-            probs, _ = model.forward(ex.seq.input_ids, ex.features,
-                                     train_mode=True, seed=int(rng.integers(2**31)))
-            losses.append(nll_loss(probs, ex.seq, config.loss_reduction))
+            probs, _ = model.forward(ex.seq.input_ids[None], [ex.features],
+                                     train_mode=True, seed=[int(rng.integers(2**31))])
+            losses.append(nll_loss(probs, [ex.seq], config.loss_reduction))
         ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
         optimizer.step(tr.lr_for_epoch(config, 0))
 
@@ -297,8 +309,9 @@ def test_batch_probabilities_equal_per_example_forwards_exactly(kind, train_mode
     seeds = [101, 7, 55, 3, 89][:size]
     batched, _ = model.forward(*batch_inputs(examples), train_mode=train_mode, seed=seeds)
     for b, (ex, seed) in enumerate(zip(examples, seeds)):
-        single, _ = model.forward(ex.seq.input_ids, ex.features, train_mode=train_mode, seed=seed)
-        assert np.array_equal(batched.data[b], single.data), b
+        single, _ = model.forward(ex.seq.input_ids[None], [ex.features], train_mode=train_mode,
+                                  seed=[seed])
+        assert np.array_equal(batched.data[b], single.data[0]), b
 
 
 # The products the models issue at the bench shapes (width 64, vocabulary
@@ -334,7 +347,7 @@ def test_cnn_train_forward_of_a_prefix_gives_the_rows_of_the_full_forward(batch)
     ids, feats = batch_inputs(examples)
     seeds = [101, 7, 55, 3, 89]
     if not batch:
-        ids, feats, seeds = ids[0], feats[0], seeds[0]
+        ids, feats, seeds = ids[:1], feats[:1], seeds[:1]
     full, _ = model.forward(ids, feats, train_mode=True, seed=seeds)
     assert not np.array_equal(full.data, model.forward(ids, feats)[0].data)
     for rows in range(1, model.config.max_steps + 2):

@@ -624,6 +624,35 @@ def test_rejections_raise_cli_error(tmp_path, capsys, make_argv, fragment):
     assert "CliError: " in err and fragment in err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["synth", "--val-fraction", 1.5], "CliError: --val-fraction must be in [0, 1), got 1.5"),
+    (["synth", "--val-fraction", -0.5], "CliError: --val-fraction must be in [0, 1), got -0.5"),
+    (["synth", "--val-fraction", 1.0], "CliError: no training scenes left"),
+    (["synth", "--feature-dim", 0], "ValueError: feature_dim must be >= 1, got 0"),
+    (["synth", "--channels", 0], "ValueError: spatial_channels must be >= 1, got 0"),
+    (["synth", "--grid", 1], "ValueError: grid_size must be >= 2, got 1"),
+    (["analyze", "--limit", -1], "CliError: --limit must be >= 1, got -1"),
+    (["analyze", "--limit", 0], "CliError: --limit must be >= 1, got 0"),
+    (["analyze", "--positions", -3], "CliError: --positions must be >= 1, got -3"),
+], ids=lambda value: "_".join(map(str, value)) if isinstance(value, list) else "")
+def test_out_of_range_values_exit_1_and_write_no_data_file(tmp_path, capsys, argv, fragment):
+    if argv[0] == "synth":
+        argv = argv + ["--scenes", 10, "--seed", 1]
+    else:
+        data_dir = make_data(tmp_path, scenes=4)
+        vocab = Vocabulary.from_file(data_dir / "vocab.txt")
+        cfg = lm.LstmConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=4, max_steps=4,
+                            feature_dim=96)
+        ckpt = tmp_path / "fresh.ckpt"
+        save_checkpoint(ckpt, lm.init_params(cfg, 0), seed=0, epoch=0, vocab=vocab)
+        argv = argv + ["--ckpt", ckpt, "--data", data_dir]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    assert fragment in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_validation_split_keeps_at_least_one_scene(tmp_path):
     data_dir = tmp_path / "data"
     assert run(["synth", "--scenes", 3, "--seed", 1, "--val-fraction", 0.1,

@@ -63,15 +63,15 @@ class TestInitParams:
 
     def test_initial_forward_is_uniform(self):
         model = cm.init_params(tiny_config(), seed=1)
-        probs, _ = model.forward([0, 3, 4], tiny_features())
+        probs, _ = model.forward([[0, 3, 4]], [tiny_features()])
         assert np.allclose(probs.data, 1.0 / 7.0, atol=1e-15)
 
     def test_weight_norm_init_matches_plain_init(self):
         plain = cm.init_params(tiny_config(), seed=3)
         normed = cm.init_params(tiny_config(weight_norm=True), seed=3)
         feats = tiny_features()
-        a, _ = plain.forward([0, 2, 5], feats)
-        b, _ = normed.forward([0, 2, 5], feats)
+        a, _ = plain.forward([[0, 2, 5]], [feats])
+        b, _ = normed.forward([[0, 2, 5]], [feats])
         assert np.allclose(a.data, b.data, atol=1e-12)
 
     def test_parameter_count_closed_form_full_scale(self):
@@ -97,14 +97,14 @@ class TestEmbedImage:
     def test_zero_feature_gives_bias_only(self):
         model = cm.init_params(tiny_config(), seed=2)
         model.params["image_b"].data[:] = np.arange(4.0)
-        out = model.embed_image(ImageFeatures(np.zeros(6)))
-        assert np.array_equal(out.data, np.arange(4.0).reshape(1, 4))
+        out = model.embed_image([ImageFeatures(np.zeros(6))])
+        assert np.array_equal(out.data[0], np.arange(4.0).reshape(1, 4))
 
     def test_default_config_embeds_to_512(self):
         cfg = cm.ModelConfig(vocab_size=50)
         model = cm.init_params(cfg, seed=0)
-        out = model.embed_image(ImageFeatures(np.random.default_rng(0).normal(size=4096)))
-        assert out.data.shape == (1, 512)
+        out = model.embed_image([ImageFeatures(np.random.default_rng(0).normal(size=4096))])
+        assert out.data[0].shape == (1, 512)
 
     def test_gradient_matches_finite_differences(self):
         model = cm.init_params(tiny_config(), seed=4)
@@ -112,7 +112,7 @@ class TestEmbedImage:
         w = model.params["image_w"]
         b = model.params["image_b"]
         probe = np.random.default_rng(2).normal(size=(1, 4))
-        ad.backward(ad.sum_all(ad.mul(model.embed_image(feats), Tensor(probe))))
+        ad.backward(ad.sum_all(ad.mul(model.embed_image([feats]), Tensor(probe[None]))))
 
         def ref():
             x = np.maximum(feats.global_vec, 0.0)
@@ -127,7 +127,7 @@ class TestEmbedImage:
         bad = ImageFeatures(np.zeros(6))
         bad.global_vec[2] = np.inf
         with pytest.raises(InvalidFeatureError):
-            model.embed_image(bad)
+            model.embed_image([bad])
 
 
 def randomized(model, seed):
@@ -171,10 +171,10 @@ class TestForward:
 
     def test_attention_maps_sum_to_one(self):
         model = randomized(cm.init_params(tiny_config(attention=True), 0), 14)
-        _, state = model.forward([0, 3], tiny_features(6))
+        _, state = model.forward([[0, 3]], [tiny_features(6)])
         assert len(state.attention_maps) == 2
         for amap in state.attention_maps:
-            assert amap.shape == (2, 4)
+            assert amap[0].shape == (2, 4)
             assert np.allclose(amap.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_attention_off_ignores_spatial(self):
@@ -187,20 +187,20 @@ class TestForward:
     def test_attention_missing_spatial_rejected(self):
         model = cm.init_params(tiny_config(attention=True), 0)
         with pytest.raises(cm.MissingFeatureError):
-            model.forward([0, 1], ImageFeatures(np.zeros(6), None))
+            model.forward([[0, 1]], [ImageFeatures(np.zeros(6), None)])
 
     def test_out_of_vocab_id_rejected(self):
         model = cm.init_params(tiny_config(), 0)
         with pytest.raises(ad.OutOfVocabularyError):
-            model.forward([0, 7], tiny_features())
+            model.forward([[0, 7]], [tiny_features()])
 
     def test_dropout_seed_reproducible_and_train_only(self):
         cfg = tiny_config(dropout_p=0.4)
         model = randomized(cm.init_params(cfg, 0), 16)
         feats = tiny_features(8)
-        a, _ = model.forward([0, 1, 2], feats, train_mode=True, seed=9)
-        b, _ = model.forward([0, 1, 2], feats, train_mode=True, seed=9)
-        c, _ = model.forward([0, 1, 2], feats, train_mode=True, seed=10)
+        a, _ = model.forward([[0, 1, 2]], [feats], train_mode=True, seed=[9])
+        b, _ = model.forward([[0, 1, 2]], [feats], train_mode=True, seed=[9])
+        c, _ = model.forward([[0, 1, 2]], [feats], train_mode=True, seed=[10])
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
         eval_a = model.forward_probs([0, 1, 2], feats)
@@ -281,16 +281,15 @@ class TestEndToEndGradients:
         targets = np.array([3, 5, 1, 2])
 
         def loss_tensor():
-            probs, _ = model.forward(ids, feats)
-            return ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets))),
+            probs, _ = model.forward(ids[None], [feats])
+            return ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets[None]))),
                           ad.Tensor(-1.0 / len(targets)))
 
         loss = loss_tensor()
         ad.backward(loss)
 
         def ref():
-            probs, _ = model.forward(ids, feats)
-            sel = probs.data[np.arange(len(targets)), targets]
+            sel = model.forward_probs(ids, feats)[np.arange(len(targets)), targets]
             return -np.log(sel).sum() / len(targets)
 
         for name, tensor in model.params.items():
@@ -305,7 +304,7 @@ class TestEndToEndGradients:
     (lambda: tiny_config(attention=True, grid_size=0), ValueError,
      "attention requires positive spatial dimensions"),
     (lambda: cm.init_params(tiny_config(attention=True), 0)
-     .forward([0, 3], tiny_features(grid=3)),
+     .forward([[0, 3]], [tiny_features(grid=3)]),
      ad.ShapeError, "spatial grid (3, 3, 5) does not match configured (2, 2, 5)"),
 ])
 def test_rejections_raise_the_declared_error(call, error, fragment):

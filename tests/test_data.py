@@ -354,7 +354,7 @@ def _features(global_dim=3, grid=None):
      "ids must be a non-empty [T] sequence"),
     (lambda tmp: data.model_ids([[1], [2]], [_features()]), ShapeError,
      "2 id sequences for 1 images"),
-    (lambda tmp: data.global_rows(_features(global_dim=3), 4), ShapeError,
+    (lambda tmp: data.global_rows([_features(global_dim=3)], 4), ShapeError,
      "global feature dim 3 != configured 4"),
     (lambda tmp: data.write_features({}, tmp / "f.ccf"), ValueError,
      "refusing to write an empty feature file"),

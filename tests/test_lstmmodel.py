@@ -29,13 +29,13 @@ class TestStep:
         model = lm.init_params(tiny_config(), 0)
         for t in model.params.values():
             t.data[:] = 0.0
-        state = model.init_state(ImageFeatures(np.zeros(6)))
+        state = model.init_state([ImageFeatures(np.zeros(6))])
         _, probs = model.step(state, 3)
         assert np.allclose(probs.data, 1.0 / 7.0, atol=1e-15)
 
     def test_step_is_deterministic(self):
         model = randomized(lm.init_params(tiny_config(), 0), 1)
-        feats = tiny_features(2)
+        feats = [tiny_features(2)]
         s1, p1 = model.step(model.init_state(feats), 4)
         s2, p2 = model.step(model.init_state(feats), 4)
         assert np.array_equal(p1.data, p2.data)
@@ -44,15 +44,15 @@ class TestStep:
 
     def test_single_step_nll_gradient(self):
         model = randomized(lm.init_params(tiny_config(), 0), 3)
-        feats = tiny_features(4)
+        feats = [tiny_features(4)]
         target = 5
 
         def loss_value():
             _, probs = model.step(model.init_state(feats), 2)
-            return -np.log(probs.data[0, target])
+            return -np.log(probs.data[0, 0, target])
 
         _, probs = model.step(model.init_state(feats), 2)
-        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, [target]))), ad.Tensor(-1.0))
+        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, [[target]]))), ad.Tensor(-1.0))
         ad.backward(ad.sum_all(loss))
         for name, tensor in model.params.items():
             fd = finite_difference(loss_value, [tensor.data])[0]
@@ -62,7 +62,7 @@ class TestStep:
     def test_a_step_builds_at_most_ten_op_results(self, batch, monkeypatch):
         model = randomized(lm.init_params(tiny_config(), 0), 1)
         if batch is None:
-            features, tokens = tiny_features(2), 4
+            features, tokens = [tiny_features(2)], 4
         else:
             features, tokens = [tiny_features(s) for s in range(batch)], [4, 0, 6]
         state = model.init_state(features)
@@ -81,7 +81,7 @@ class TestStep:
     def test_out_of_vocab_rejected(self):
         model = lm.init_params(tiny_config(), 0)
         with pytest.raises(ad.OutOfVocabularyError):
-            model.step(model.init_state(tiny_features()), 7)
+            model.step(model.init_state([tiny_features()]), 7)
 
 
 class TestForward:
@@ -89,17 +89,17 @@ class TestForward:
         model = randomized(lm.init_params(tiny_config(), 0), 5)
         feats = tiny_features(6)
         ids = [0, 3, 6, 2]
-        full, _ = model.forward(ids, feats)
-        state = model.init_state(feats)
+        full, _ = model.forward([ids], [feats])
+        state = model.init_state([feats])
         for i, token_id in enumerate(ids):
             state, probs = model.step(state, token_id)
-            assert np.array_equal(full.data[i], probs.data[0])
+            assert np.array_equal(full.data[0, i], probs.data[0, 0])
 
     def test_default_length_unroll_has_16_rows(self):
         model = lm.init_params(tiny_config(max_steps=15), 0)
         ids = np.zeros(16, dtype=np.int64)
-        probs, _ = model.forward(ids, tiny_features())
-        assert probs.data.shape == (16, 7)
+        probs, _ = model.forward(ids[None], [tiny_features()])
+        assert probs.data[0].shape == (16, 7)
 
     def test_depends_on_earlier_tokens_invariant_to_later(self):
         model = randomized(lm.init_params(tiny_config(), 0), 7)
@@ -122,7 +122,7 @@ class TestForward:
         a = model.forward_probs([0, 1, 2], f1)
         b = model.forward_probs([0, 1, 2], f2)
         assert not np.array_equal(a, b)  # image does matter ...
-        s1 = model.init_state(f1)
+        s1 = model.init_state([f1])
         s2 = lm.LstmState(s1.hidden, s1.memory)
         _, p1 = model.step(s1, 3)
         _, p2 = model.step(s2, 3)
@@ -134,13 +134,12 @@ class TestForward:
         ids = np.array([0, 4, 1])
         targets = np.array([4, 1, 2])
 
-        probs, _ = model.forward(ids, feats)
-        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets))), ad.Tensor(-1.0 / 3))
+        probs, _ = model.forward(ids[None], [feats])
+        loss = ad.mul(ad.sum_all(ad.log(ad.pick(probs, targets[None]))), ad.Tensor(-1.0 / 3))
         ad.backward(loss)
 
         def ref():
-            p, _ = model.forward(ids, feats)
-            return -np.log(p.data[np.arange(3), targets]).sum() / 3
+            return -np.log(model.forward_probs(ids, feats)[np.arange(3), targets]).sum() / 3
 
         for name, tensor in model.params.items():
             fd = finite_difference(ref, [tensor.data])[0]

@@ -61,13 +61,13 @@ class TestNllLoss:
         seq = self._seq([3, 4], 2)  # targets 3, 4, <E>
         probs = np.zeros((3, 6))
         probs[np.arange(3), seq.target_ids] = 1.0
-        loss = tr.nll_loss(Tensor(probs), seq)
+        loss = tr.nll_loss(Tensor(probs[None]), [seq])
         assert loss.data == 0.0
 
     def test_uniform_gives_log_vocab(self):
         seq = self._seq([3], 2)
         probs = np.full((3, 5), 0.2)
-        loss = tr.nll_loss(Tensor(probs), seq)
+        loss = tr.nll_loss(Tensor(probs[None]), [seq])
         assert loss.data == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_closed_form_two_rows(self):
@@ -75,9 +75,9 @@ class TestNllLoss:
             input_ids=np.array([0, 2]), target_ids=np.array([2, 3]), valid_len=2
         )
         probs = np.array([[0.0, 0.0, 0.75, 0.25], [0.0, 0.0, 0.25, 0.75]])
-        loss = tr.nll_loss(Tensor(probs), seq)
+        loss = tr.nll_loss(Tensor(probs[None]), [seq])
         assert loss.data == pytest.approx(-math.log(0.75), abs=1e-12)
-        total = tr.nll_loss(Tensor(probs), seq, reduction="sum")
+        total = tr.nll_loss(Tensor(probs[None]), [seq], reduction="sum")
         assert total.data == pytest.approx(-2 * math.log(0.75), abs=1e-12)
 
     def test_zero_probability_clamped_and_counted(self):
@@ -85,7 +85,7 @@ class TestNllLoss:
         probs = np.zeros((2, 5))
         probs[:, 0] = 1.0  # all mass somewhere else
         stats = tr.LossStats()
-        loss = tr.nll_loss(Tensor(probs), seq, stats=stats)
+        loss = tr.nll_loss(Tensor(probs[None]), [seq], stats=stats)
         assert stats.clamped == 2
         assert loss.data == pytest.approx(-math.log(1e-12), abs=1e-9)
 
@@ -190,6 +190,38 @@ class TestTrainLoop:
         loaded = load_checkpoint(result.best_path)
         assert loaded.epoch == result.best_epoch
         assert loaded.vocab == vocab
+
+    @pytest.mark.parametrize("written", [True, False], ids=["after", "before"])
+    def test_a_run_killed_at_last_ckpt_resumes_with_one_row_per_epoch(
+            self, tmp_path, monkeypatch, written):
+        # Epoch 1 is killed right after its last.ckpt is written, or right
+        # before it (after its metrics.csv rows); the run resumes from
+        # last.ckpt and ends at epoch 2.
+        model, examples, vocab = synth_setup()
+        cfg = tr.TrainConfig(learning_rate=1e-3, epochs=3, seed=4, probe_size=4)
+        save = tr.save_checkpoint
+
+        def killing_save(path, model, **fields):
+            if path.endswith("last.ckpt") and fields["epoch"] == 1:
+                if written:
+                    save(path, model, **fields)
+                raise KeyboardInterrupt
+            save(path, model, **fields)
+
+        monkeypatch.setattr(tr, "save_checkpoint", killing_save)
+        with pytest.raises(KeyboardInterrupt):
+            tr.train(model, examples[:8], examples[8:], cfg, out_dir=str(tmp_path), vocab=vocab)
+        monkeypatch.undo()
+        loaded = load_checkpoint(tmp_path / "checkpoints" / "last.ckpt")
+        start = loaded.epoch + 1
+        assert start == (2 if written else 1)
+        tr.train(loaded.model, examples[:8], examples[8:],
+                 tr.TrainConfig(learning_rate=1e-3, epochs=3 - start, seed=4, probe_size=4),
+                 out_dir=str(tmp_path), vocab=vocab, start_epoch=start)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0] == tr.analysis.METRICS_CSV_HEADER
+        keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
+        assert keys == [(str(e), split) for e in range(3) for split in ("train", "val")]
 
     def test_resume_continues_staircase(self):
         model, examples, _ = synth_setup()
