@@ -137,6 +137,8 @@ def nll_loss(probs: Tensor, target, reduction: str = "mean",
     ``stats.clamped`` when a stats object is given. ``mean`` divides an
     example's sum by its number of unpadded positions; ``sum`` does not.
     """
+    if reduction not in ("mean", "sum"):
+        raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     seqs = list(target)
     if probs.data.ndim != 3 or probs.data.shape[0] != len(seqs):
         raise ad.ShapeError(f"probabilities {probs.data.shape} for {len(seqs)} target sequence(s)")
@@ -294,7 +296,7 @@ def _probe_chunk(model, chunk, ids):
     two tracked parameters, as [B, ...] arrays; the graph is freed on return."""
     tracked = ("word_embedding", "output_w")
     view = type(model)(model.config, ad.view(model.params, tracked, len(chunk)))
-    probs, _ = view.forward(ids, [ex.features for ex in chunk], train_mode=False)
+    probs, _ = view.forward(ids, [ex.features for ex in chunk])
     ad.backward(nll_loss(probs, [ex.seq for ex in chunk], batch_mean=False))
     return probs.data, *(view.params[name].grad for name in tracked)
 

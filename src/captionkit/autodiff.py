@@ -45,7 +45,6 @@ __all__ = [
     "concat",
     "slice_cols",
     "tile_rows",
-    "transpose",
     "sum_all",
     "pick",
     "as_generator",
@@ -273,13 +272,14 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return _node(np.maximum(a.data, floor), (a,), bw)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g, emit):
-        emit(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        emit(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _node(y, (a,), bw)
 
@@ -409,13 +409,14 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     return _node(w, (v, g), bw)
 
 
-def dropout(x: Tensor, p: float, rng, train_mode: bool, positions: int | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, rng, positions: int | None = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by 1/(1-p).
 
-    Identity when not training or p == 0. ``rng`` is a list with one integer
-    seed or numpy Generator per example (the leading axis of ``x``), and each
-    example's mask is drawn from its own stream with the shape ``x.shape[1:]``
-    that the example alone has; a fixed seed gives a bit-reproducible mask.
+    Identity when ``rng`` is None or p == 0. Otherwise ``rng`` is a list with
+    one integer seed or numpy Generator per example (the leading axis of
+    ``x``), and each example's mask is drawn from its own stream with the
+    shape ``x.shape[1:]`` that the example alone has; a fixed seed gives a
+    bit-reproducible mask.
 
     ``positions`` makes the mask per position: an example's rows (its first
     axis) are drawn as ``max(rows, positions)`` rows and the first ``rows``
@@ -425,7 +426,7 @@ def dropout(x: Tensor, p: float, rng, train_mode: bool, positions: int | None = 
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not train_mode or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     if len(rng) != x.data.shape[0]:
         raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
@@ -502,14 +503,6 @@ def tile_rows(x: Tensor, n: int) -> Tensor:
         emit(x, g.sum(axis=1, keepdims=True))
 
     return _node(np.repeat(x.data, n, axis=1), (x,), bw)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    def bw(g, emit):
-        emit(x, g.swapaxes(-1, -2))
-
-    return _node(x.data.swapaxes(-1, -2), (x,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -127,14 +127,6 @@ def init_params(config: ModelConfig, seed: int) -> "CaptionModel":
     return CaptionModel(config, params)
 
 
-@dataclass
-class DecoderState:
-    """What one forward pass leaves behind: when attention is enabled, the
-    [B, T, G*G] attention map of each layer."""
-
-    attention_maps: list[np.ndarray]
-
-
 class CaptionModel:
     """Parameter collection plus the forward pass wiring them together."""
 
@@ -154,12 +146,12 @@ class CaptionModel:
             return [ad.weight_norm(p[f"conv{i}_v"], p[f"conv{i}_g"]) for i in layers]
         return [p[f"conv{i}_kernel"] for i in layers]
 
-    def embed_image(self, features, train_mode: bool = False, rng=None) -> Tensor:
+    def embed_image(self, features, rng=None) -> Tensor:
         """dropout -> relu -> linear on the global feature vectors of a list
         of B ImageFeatures: [B, 1, D]. ``rng`` is a list of B generators when
-        dropout draws."""
+        dropout draws, else None."""
         x = Tensor(global_rows(features, self.config.feature_dim))
-        x = ad.dropout(x, self.config.dropout_p, rng, train_mode)
+        x = ad.dropout(x, self.config.dropout_p, rng)
         return ad.add(ad.matmul(ad.relu(x), self.params["image_w"]), self.params["image_b"])
 
     def _spatial(self, features) -> Tensor | None:
@@ -168,54 +160,53 @@ class CaptionModel:
         cfg = self.config
         if not cfg.attention:
             return None
-        if any(f.spatial is None for f in features):
-            raise MissingFeatureError("attention model needs spatial features")
-        spatial = np.stack([f.spatial_flat() for f in features])
-        if spatial.shape[-2:] != (cfg.grid_size**2, cfg.spatial_channels):
-            raise ad.ShapeError(
-                f"spatial grid {features[0].spatial.shape} does not match configured "
-                f"({cfg.grid_size}, {cfg.grid_size}, {cfg.spatial_channels})"
-            )
-        return Tensor(spatial)
+        grid = (cfg.grid_size, cfg.grid_size, cfg.spatial_channels)
+        for f in features:
+            if f.spatial is None:
+                raise MissingFeatureError("attention model needs spatial features")
+            if f.spatial.shape != grid:
+                raise ad.ShapeError(f"spatial grid {f.spatial.shape} does not match "
+                                    f"configured {grid}")
+        return Tensor(np.stack([f.spatial_flat() for f in features]))
 
-    def forward(self, ids, features, train_mode: bool = False, seed=None):
+    def forward(self, ids, features, seed=None):
         """Probabilities for every position of a batch of input-view id
         sequences.
 
         ``ids`` is the start-token-prefixed view [B, T], with a list of B
-        ImageFeatures and, when dropout draws, a list of B seeds. Each example
-        draws its dropout masks from its own seed, and every product is
-        issued per example, so its rows are bit-identical to a forward of
-        that example alone. No generator is built when dropout is off (in
-        evaluation mode, or with ``dropout_p`` 0). Row i of an example's
-        result is the distribution over the token at position i+1 given
-        tokens <= i and the image. Returns (probs Tensor [B, T, vocab],
-        DecoderState).
+        ImageFeatures. ``seed``, a list of B seeds, is the training switch:
+        dropout draws exactly when it is given and ``dropout_p`` > 0, each
+        example from its own seed; otherwise no generator is built. Every
+        product is issued per example, so an example's rows are
+        bit-identical to a forward of that example alone. Row i of an
+        example's result is the distribution over the token at position i+1
+        given tokens <= i and the image. Returns (probs Tensor [B, T, vocab],
+        the [B, T, G*G] attention map of each layer, empty without attention).
         """
         cfg = self.config
         ids = model_ids(ids, features)
-        if not train_mode or cfg.dropout_p == 0.0:
+        if seed is None or cfg.dropout_p == 0.0:
             rng = None  # dropout is the identity and draws nothing
         elif np.ndim(seed) != 1 or len(seed) != ids.shape[0]:
             raise ValueError(f"a batch of {ids.shape[0]} needs one dropout seed per example")
         else:
             rng = [ad.as_generator(s) for s in seed]
         spatial = self._spatial(features)
-        return self._layers(ids, self._kernels(), self.embed_image(features, train_mode, rng),
-                            spatial, train_mode, rng)
+        return self._layers(ids, self._kernels(), self.embed_image(features, rng), spatial, rng)
 
     def _layers(self, ids, kernels: list[Tensor], image: Tensor, spatial: Tensor | None,
-                train_mode: bool, rng):
+                rng=None):
         """The layer body of every pass, training and decoding alike: word and
         image embeddings, the conv layers over ``kernels`` and the classifier,
-        for ids [B, T] with B image embeddings and grids."""
+        for ids [B, T] with B image embeddings and grids. Returns (probs,
+        attention maps)."""
         cfg = self.config
         words = ad.embedding_lookup(self.params["word_embedding"], ids)
         h = ad.concat((words, ad.tile_rows(image, ids.shape[1])), axis=-1)
 
         attention_maps = []
         for layer in range(cfg.num_layers):
-            x = ad.dropout(h, cfg.dropout_p, rng, train_mode, positions=cfg.max_steps + 1)
+            x = ad.dropout(h, cfg.dropout_p, rng, positions=cfg.max_steps + 1)
             conv = ad.causal_conv1d(x, kernels[layer], self.params[f"conv{layer}_bias"])
             d = ad.glu(conv)
             out = d
@@ -229,7 +220,7 @@ class CaptionModel:
 
         bottleneck = ad.add(ad.matmul(h, self.params["bottleneck_w"]), self.params["bottleneck_b"])
         logits = ad.add(ad.matmul(bottleneck, self.params["output_w"]), self.params["output_b"])
-        return ad.softmax(logits, axis=-1), DecoderState(attention_maps)
+        return ad.softmax(logits), attention_maps
 
     def start(self, features: ImageFeatures):
         """Decoding state of the empty hypothesis: an untracked ``ad.view`` of
@@ -246,11 +237,11 @@ class CaptionModel:
         ids = np.concatenate([ids[rows], np.reshape(token_ids, (-1, 1))], axis=1)
         copies = [None if t is None else Tensor(np.repeat(t.data, len(ids), axis=0))
                   for t in (image, spatial)]
-        probs, _ = view._layers(ids, kernels, *copies, False, None)
+        probs, _ = view._layers(ids, kernels, *copies)
         return (view, kernels, ids, image, spatial), probs.data[:, -1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
-        """Evaluation-mode probabilities [T, vocab] of one image's ids [T]:
+        """Probabilities without dropout [T, vocab] of one image's ids [T]:
         row 0 of a batch of one."""
         probs, _ = self.forward(np.asarray(ids)[None], [features])
         return probs.data[0]
@@ -258,13 +249,13 @@ class CaptionModel:
 
 def attend(d: Tensor, spatial: Tensor, w: Tensor):
     """Attention for all rows of a batch d [B, T, H] at once, over the spatial
-    grids [B, G*G, C].
+    grids [B, G*G, C], a constant.
 
     scores[j, i] = (w^T d_j) . c_i over the G*G locations i; rows are
     softmax-normalized and the context is the score-weighted sum of the
     spatial cells. Returns (context [B, T, C], attention weights
     [B, T, G*G]); each row of weights sums to 1.
     """
-    scores = ad.matmul(ad.matmul(d, w), ad.transpose(spatial))
-    amap = ad.softmax(scores, axis=-1)
+    scores = ad.matmul(ad.matmul(d, w), Tensor(spatial.data.swapaxes(-1, -2)))
+    amap = ad.softmax(scores)
     return ad.matmul(amap, spatial), amap

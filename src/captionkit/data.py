@@ -258,9 +258,11 @@ def model_ids(ids, features) -> np.ndarray:
 def global_rows(features, feature_dim: int) -> np.ndarray:
     """Global feature vectors of a list of B ImageFeatures as one-row inputs
     [B, 1, F], checked against the configured dimension F."""
+    for f in features:
+        if f.global_vec.shape[-1] != feature_dim:
+            raise ShapeError(f"global feature dim {f.global_vec.shape[-1]} != configured "
+                             f"{feature_dim}")
     rows = np.stack([f.global_vec.reshape(1, -1) for f in features])
-    if rows.shape[-1] != feature_dim:
-        raise ShapeError(f"global feature dim {rows.shape[-1]} != configured {feature_dim}")
     if not np.all(np.isfinite(rows)):
         raise InvalidFeatureError("global feature contains non-finite values")
     return rows

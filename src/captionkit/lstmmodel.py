@@ -102,16 +102,16 @@ class LstmModel:
         cell = ad.lstm_cell(z, state.memory)
         memory, hidden = ad.slice_cols(cell, 0, h), ad.slice_cols(cell, h, 2 * h)
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
-        return LstmState(hidden, memory), ad.softmax(logits, axis=-1)
+        return LstmState(hidden, memory), ad.softmax(logits)
 
-    def forward(self, ids, features, train_mode: bool = False, seed=None):
+    def forward(self, ids, features, seed=None):
         """Sequential unroll over input-view ids [B, T] with a list of B
         ImageFeatures: all B examples step together and give [B, T, vocab]
         probs, each example's rows bit-identical to its own unroll. Returns
         (probs, the last state).
 
-        train_mode/seed are accepted for interface parity with the
-        convolutional model; the baseline uses no dropout.
+        ``seed`` is accepted and ignored, so the trainer calls both kinds
+        alike; the baseline uses no dropout.
         """
         ids = model_ids(ids, features)
         state = self.init_state(features)
@@ -136,7 +136,7 @@ class LstmModel:
         return (view, cell), probs.data[:, -1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
-        """Evaluation-mode probabilities [T, vocab] of one image's ids [T]:
+        """Probabilities without dropout [T, vocab] of one image's ids [T]:
         row 0 of a batch of one."""
         probs, _ = self.forward(np.asarray(ids)[None], [features])
         return probs.data[0]

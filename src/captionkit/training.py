@@ -175,7 +175,7 @@ def train(
             ad.zero_gradients(params)
             seqs = [ex.seq for ex in batch]
             probs, _ = model.forward(teacher_forced_ids(seqs), [ex.features for ex in batch],
-                                     train_mode=True, seed=seeds)
+                                     seed=seeds)
             ad.backward(nll_loss(probs, seqs, config.loss_reduction, result.loss_stats))
             optimizer.step(lr)
 

@@ -236,12 +236,12 @@ def test_criterion_6_attention_sanity(converged_run):
     mass = 0.0
     count = 0
     for ex, rec in zip(run["val_examples"], run["val_records"]):
-        _, state = run["model"].forward(ex.seq.input_ids[None], [ex.features])
+        _, maps = run["model"].forward(ex.seq.input_ids[None], [ex.features])
         cells = [r * grid + c for r, c in rec.meta["block"]]
         block_fraction = len(cells) / grid**2
         # target row 2 emits the object token under the template grammar
         assert run["vocab"].decode_id(int(ex.seq.target_ids[2])) == rec.meta["object"]
-        for amap in state.attention_maps:
+        for amap in maps:
             mass += float(amap[0, 2, cells].sum())
             count += 1
     mean_mass = mass / count

@@ -260,50 +260,50 @@ class TestElementwiseSuite:
 
     def test_dropout_p_zero_identity(self):
         x = t(np.arange(12.0).reshape(3, 4))
-        assert ad.dropout(x, 0.0, 7, train_mode=True) is x
-        assert ad.dropout(x, 0.0, 7, train_mode=True, positions=5) is x
+        assert ad.dropout(x, 0.0, 7) is x
+        assert ad.dropout(x, 0.0, 7, positions=5) is x
 
     def test_dropout_eval_identity(self):
         x = t(np.arange(12.0).reshape(3, 4))
-        assert ad.dropout(x, 0.5, 7, train_mode=False) is x
-        assert ad.dropout(x, 0.5, 7, train_mode=False, positions=5) is x
+        assert ad.dropout(x, 0.5, None) is x
+        assert ad.dropout(x, 0.5, None, positions=5) is x
 
     def test_dropout_seed_reproducible(self):
         x = t(np.ones((1, 20, 20)))
-        a = ad.dropout(x, 0.4, [123], train_mode=True).data
-        b = ad.dropout(x, 0.4, [123], train_mode=True).data
+        a = ad.dropout(x, 0.4, [123]).data
+        b = ad.dropout(x, 0.4, [123]).data
         assert np.array_equal(a, b)
 
     def test_dropout_mask_mean_within_3_sigma(self):
         p = 0.3
         n = 100_000
         x = t(np.ones((1, n)))
-        out = ad.dropout(x, p, [99], train_mode=True).data
+        out = ad.dropout(x, p, [99]).data
         survivors = np.count_nonzero(out) / n
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(survivors - (1.0 - p)) <= 3.0 * sigma
 
     def test_dropout_gradient_is_mask(self):
         x = t(np.ones((1, 4, 4)))
-        out = ad.dropout(x, 0.5, [5], train_mode=True)
+        out = ad.dropout(x, 0.5, [5])
         ad.backward(ad.sum_all(out))
         assert np.array_equal(x.grad, out.data)  # survivors carry 1/(1-p)
 
     def test_dropout_invalid_p(self):
         with pytest.raises(ValueError):
-            ad.dropout(t(np.ones(3)), 1.0, 0, train_mode=True)
+            ad.dropout(t(np.ones(3)), 1.0, 0)
 
     def test_dropout_per_position_keeps_the_mask_of_a_full_draw(self):
         # With positions P, any row count r gets the first r rows of the
         # mask a draw of P rows would give, and the stream moves on by P
         # rows; at r >= P the argument changes nothing.
         x = np.random.default_rng(3).normal(size=(6, 5))
-        full = ad.dropout(t(x[None]), 0.4, [21], True).data[0]
+        full = ad.dropout(t(x[None]), 0.4, [21]).data[0]
         for positions in (1, 4, 6):
-            assert np.array_equal(ad.dropout(t(x[None]), 0.4, [21], True, positions).data[0], full)
+            assert np.array_equal(ad.dropout(t(x[None]), 0.4, [21], positions).data[0], full)
         for rows in range(1, 7):
             rng = ad.as_generator(21)
-            cut = ad.dropout(t(x[None, :rows]), 0.4, [rng], True, positions=6).data[0]
+            cut = ad.dropout(t(x[None, :rows]), 0.4, [rng], positions=6).data[0]
             assert np.array_equal(cut, full[:rows]), rows
             reference = ad.as_generator(21)
             reference.random((6, 5))
@@ -315,7 +315,7 @@ class TestElementwiseSuite:
         w = rng.normal(size=(2, 3, 4))
 
         def masked(data):
-            return ad.dropout(data, 0.3, [5, 6], True, positions=7)
+            return ad.dropout(data, 0.3, [5, 6], positions=7)
 
         ad.backward(ad.sum_all(ad.mul(masked(x), t(w, grad=False))))
         fd = finite_difference(lambda: (masked(t(x.data, grad=False)).data * w).sum(), [x.data])
@@ -497,7 +497,7 @@ def test_replay_is_bit_identical():
     def run():
         x = t(rng_data.copy()[None])
         kernel = t(np.random.default_rng(11).normal(size=(2, 4, 8)))
-        out = ad.glu(ad.causal_conv1d(ad.dropout(x, 0.25, [42], True), kernel, t(np.zeros(8))))
+        out = ad.glu(ad.causal_conv1d(ad.dropout(x, 0.25, [42]), kernel, t(np.zeros(8))))
         loss = ad.sum_all(out)
         ad.backward(loss)
         return out.data.copy(), x.grad.copy(), kernel.grad.copy()
@@ -530,7 +530,7 @@ def test_causal_conv_future_independence_property(seed, cut, K):
      "causal_conv1d: bias shape (2,), expected (3,)"),
     (lambda: ad.weight_norm(t(np.ones((2, 3))), t(np.ones(2))),
      "weight_norm: g shape (2,), expected (3,)"),
-    (lambda: ad.dropout(t(np.ones((2, 3))), 0.5, [0], train_mode=True),
+    (lambda: ad.dropout(t(np.ones((2, 3))), 0.5, [0]),
      "dropout: 1 generators for a batch of 2"),
     (lambda: ad.embedding_lookup(t(np.zeros((2, 4, 3))), np.zeros((3, 1), dtype=int)),
      "embedding_lookup: ids (3, 1) for a table (2, 4, 3)"),

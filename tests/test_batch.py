@@ -12,7 +12,7 @@ from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
 from captionkit import training as tr
 from captionkit.analysis import LossStats, nll_loss
-from captionkit.data import TokenSeq, synth_corpus
+from captionkit.data import ImageFeatures, TokenSeq, synth_corpus
 from conftest import assert_grads_close, finite_difference
 
 
@@ -68,11 +68,6 @@ class TestBatchedOps:
         rows = self.rng.normal(size=(2, 1, 4))
         assert np.array_equal(ad.tile_rows(t(rows), 3).data, np.repeat(rows, 3, axis=1))
         weighted_fd_check(lambda x: ad.tile_rows(x, 3), [rows])
-
-    def test_transpose(self):
-        x = self.rng.normal(size=(2, 3, 4))
-        assert np.array_equal(ad.transpose(t(x)).data, x.transpose(0, 2, 1))
-        weighted_fd_check(ad.transpose, [x])
 
     def test_pick(self):
         ids = np.array([[0, 4, 2], [1, 1, 3]])
@@ -138,9 +133,9 @@ class TestBatchedOps:
 
     def test_dropout_masks_follow_each_example_stream(self):
         x = self.rng.normal(size=(3, 4, 5))
-        batched = ad.dropout(t(x), 0.3, [11, 12, 13], True).data
+        batched = ad.dropout(t(x), 0.3, [11, 12, 13]).data
         for b, seed in enumerate((11, 12, 13)):
-            assert np.array_equal(batched[b], ad.dropout(t(x[b][None]), 0.3, [seed], True).data[0])
+            assert np.array_equal(batched[b], ad.dropout(t(x[b][None]), 0.3, [seed]).data[0])
 
 
 def cnn_model(vocab_size):
@@ -184,7 +179,7 @@ def test_batch_matches_per_example_forwards(kind, reduction):
     params = model.parameters()
 
     ad.zero_gradients(params)
-    probs, _ = model.forward(*batch_inputs(examples), train_mode=True, seed=seeds)
+    probs, _ = model.forward(*batch_inputs(examples), seed=seeds)
     batch_loss = nll_loss(probs, [ex.seq for ex in examples], reduction)
     ad.backward(batch_loss)
     batched_grads = {name: p.grad.copy() for name, p in params.items()}
@@ -193,8 +188,7 @@ def test_batch_matches_per_example_forwards(kind, reduction):
     rows = []
     losses = []
     for ex, seed in zip(examples, seeds):
-        single, _ = model.forward(ex.seq.input_ids[None], [ex.features], train_mode=True,
-                                  seed=[seed])
+        single, _ = model.forward(ex.seq.input_ids[None], [ex.features], seed=[seed])
         rows.append(single.data[0])
         losses.append(nll_loss(single, [ex.seq], reduction))
     ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
@@ -229,9 +223,22 @@ def test_forward_rejects_one_dimensional_ids(kind):
 def test_batch_needs_one_dropout_seed_per_example():
     model, examples = model_and_examples("cnn")
     with pytest.raises(ValueError, match="seed per example"):
-        model.forward(*batch_inputs(examples), train_mode=True, seed=0)
+        model.forward(*batch_inputs(examples), seed=0)
     with pytest.raises(ad.ShapeError):
         model.forward(batch_inputs(examples)[0], [ex.features for ex in examples[:2]])
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_mixed_global_feature_sizes_raise_shape_error(kind):
+    if kind == "cnn":
+        model = cm.init_params(cm.ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=4,
+                                              num_layers=1, kernel_widths=(2,), feature_dim=6), 0)
+    else:
+        model = lm.init_params(lm.LstmConfig(vocab_size=7, embed_dim=4, hidden_dim=4,
+                                             feature_dim=6), 0)
+    feats = [ImageFeatures(np.ones(6)), ImageFeatures(np.ones(7))]
+    with pytest.raises(ad.ShapeError, match="global feature dim 7 != configured 6"):
+        model.forward([[0, 1], [0, 2]], feats)
 
 
 def test_clamped_count_is_the_per_example_sum():
@@ -260,7 +267,7 @@ def reference_epoch(model, examples, config):
         for idx in order[lo:lo + config.batch_size]:
             ex = examples[idx]
             probs, _ = model.forward(ex.seq.input_ids[None], [ex.features],
-                                     train_mode=True, seed=[int(rng.integers(2**31))])
+                                     seed=[int(rng.integers(2**31))])
             losses.append(nll_loss(probs, [ex.seq], config.loss_reduction))
         ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
         optimizer.step(tr.lr_for_epoch(config, 0))
@@ -301,16 +308,16 @@ def test_lstm_batch_step_gradient():
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
-@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("training", [False, True])
 @pytest.mark.parametrize("size", [1, 2, 5])
-def test_batch_probabilities_equal_per_example_forwards_exactly(kind, train_mode, size):
+def test_batch_probabilities_equal_per_example_forwards_exactly(kind, training, size):
     model, examples = model_and_examples(kind)
     examples = examples[:size]
     seeds = [101, 7, 55, 3, 89][:size]
-    batched, _ = model.forward(*batch_inputs(examples), train_mode=train_mode, seed=seeds)
+    batched, _ = model.forward(*batch_inputs(examples), seed=seeds if training else None)
     for b, (ex, seed) in enumerate(zip(examples, seeds)):
-        single, _ = model.forward(ex.seq.input_ids[None], [ex.features], train_mode=train_mode,
-                                  seed=[seed])
+        single, _ = model.forward(ex.seq.input_ids[None], [ex.features],
+                                  seed=[seed] if training else None)
         assert np.array_equal(batched.data[b], single.data[0]), b
 
 
@@ -348,10 +355,10 @@ def test_cnn_train_forward_of_a_prefix_gives_the_rows_of_the_full_forward(batch)
     seeds = [101, 7, 55, 3, 89]
     if not batch:
         ids, feats, seeds = ids[:1], feats[:1], seeds[:1]
-    full, _ = model.forward(ids, feats, train_mode=True, seed=seeds)
+    full, _ = model.forward(ids, feats, seed=seeds)
     assert not np.array_equal(full.data, model.forward(ids, feats)[0].data)
     for rows in range(1, model.config.max_steps + 2):
-        cut, _ = model.forward(ids[..., :rows], feats, train_mode=True, seed=seeds)
+        cut, _ = model.forward(ids[..., :rows], feats, seed=seeds)
         expected = full.data[..., :rows, :]
         if rows == 1:
             # One-row products round differently; criterion 3's tolerance.

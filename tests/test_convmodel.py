@@ -171,9 +171,9 @@ class TestForward:
 
     def test_attention_maps_sum_to_one(self):
         model = randomized(cm.init_params(tiny_config(attention=True), 0), 14)
-        _, state = model.forward([[0, 3]], [tiny_features(6)])
-        assert len(state.attention_maps) == 2
-        for amap in state.attention_maps:
+        _, maps = model.forward([[0, 3]], [tiny_features(6)])
+        assert len(maps) == 2
+        for amap in maps:
             assert amap[0].shape == (2, 4)
             assert np.allclose(amap.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -198,9 +198,9 @@ class TestForward:
         cfg = tiny_config(dropout_p=0.4)
         model = randomized(cm.init_params(cfg, 0), 16)
         feats = tiny_features(8)
-        a, _ = model.forward([[0, 1, 2]], [feats], train_mode=True, seed=[9])
-        b, _ = model.forward([[0, 1, 2]], [feats], train_mode=True, seed=[9])
-        c, _ = model.forward([[0, 1, 2]], [feats], train_mode=True, seed=[10])
+        a, _ = model.forward([[0, 1, 2]], [feats], seed=[9])
+        b, _ = model.forward([[0, 1, 2]], [feats], seed=[9])
+        c, _ = model.forward([[0, 1, 2]], [feats], seed=[10])
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
         eval_a = model.forward_probs([0, 1, 2], feats)
@@ -229,6 +229,25 @@ class TestForward:
         a = one.forward_probs([0, 5, 2, 3], feats)
         b = two.forward_probs([0, 5, 2, 3], feats)
         assert np.array_equal(a, b)
+
+
+def test_a_decoding_step_builds_at_most_31_op_results(monkeypatch):
+    # The bench's conv structure: 3 layers, attention, weight norm, residual
+    # and dropout, which a decoding step leaves out.
+    cfg = tiny_config(num_layers=3, kernel_widths=(2, 3, 3), dropout_p=0.1, weight_norm=True,
+                      residual=True, attention=True)
+    model = randomized(cm.init_params(cfg, 0), 20)
+    state, _ = model.next_probs(model.start(tiny_features(21)), [0], [0])
+    node, made = ad._node, []
+
+    def counting_node(data, parents, bw):
+        made.append(bw)
+        return node(data, parents, bw)
+
+    monkeypatch.setattr(ad, "_node", counting_node)
+    state, probs = model.next_probs(state, [0, 0], [3, 4])
+    assert probs.shape == (2, 7)
+    assert len(made) <= 31
 
 
 class TestAttendOp:
@@ -306,6 +325,9 @@ class TestEndToEndGradients:
     (lambda: cm.init_params(tiny_config(attention=True), 0)
      .forward([[0, 3]], [tiny_features(grid=3)]),
      ad.ShapeError, "spatial grid (3, 3, 5) does not match configured (2, 2, 5)"),
+    (lambda: cm.init_params(tiny_config(attention=True, grid_size=3), 0)
+     .forward([[0, 3], [0, 2]], [tiny_features(grid=3), tiny_features(grid=4)]),
+     ad.ShapeError, "spatial grid (4, 4, 5) does not match configured (3, 3, 5)"),
 ])
 def test_rejections_raise_the_declared_error(call, error, fragment):
     with pytest.raises(error) as caught:

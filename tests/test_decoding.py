@@ -91,8 +91,8 @@ class TestGreedy:
             raise AssertionError("an evaluation forward built a generator")
 
         monkeypatch.setattr(ad, "as_generator", no_generator)
-        model.forward([[START_ID, 2, 3]], [feats], train_mode=False, seed=[5])
-        model.forward(np.array([[START_ID, 2], [START_ID, 4]]), [feats, feats], seed=[1, 2])
+        model.forward([[START_ID, 2, 3]], [feats])
+        model.forward(np.array([[START_ID, 2], [START_ID, 4]]), [feats, feats])
         assert np.array_equal(dec.greedy_decode(model, feats).target_ids, want.target_ids)
 
 

@@ -80,6 +80,12 @@ class TestNllLoss:
         total = tr.nll_loss(Tensor(probs[None]), [seq], reduction="sum")
         assert total.data == pytest.approx(-2 * math.log(0.75), abs=1e-12)
 
+    @pytest.mark.parametrize("reduction", ["Mean", "avg"])
+    def test_unknown_reduction_rejected(self, reduction):
+        probs = Tensor(np.full((1, 3, 5), 0.2))
+        with pytest.raises(ValueError, match=f"'mean' or 'sum', got '{reduction}'"):
+            tr.nll_loss(probs, [self._seq([3], 2)], reduction=reduction)
+
     def test_zero_probability_clamped_and_counted(self):
         seq = self._seq([3], 1)
         probs = np.zeros((2, 5))
