@@ -17,7 +17,7 @@ import numpy as np
 
 from captionkit import autodiff as ad
 from captionkit.autodiff import Tensor
-from captionkit.data import END_ID, EmptyCorpusError, TokenSeq
+from captionkit.data import END_ID, EmptyCorpusError
 
 BLEU_EPSILON = 1e-9
 PROB_FLOOR = 1e-12
@@ -315,8 +315,7 @@ def unique_words_per_position(beam_outputs, positions: int = 13) -> list[int]:
     seen: list[set] = [set() for _ in range(positions)]
     for beams in beam_outputs:
         for seq in beams:
-            ids = seq.target_ids if isinstance(seq, TokenSeq) else np.asarray(seq)
-            for pos, token_id in enumerate(ids[:positions]):
+            for pos, token_id in enumerate(seq.target_ids[:positions]):
                 if token_id == END_ID:
                     break
                 seen[pos].add(int(token_id))

@@ -32,7 +32,6 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "relu",
     "log",
     "clamp_min",
     "softmax",
@@ -156,11 +155,9 @@ def backward(loss: Tensor) -> None:
             t._bw(g, emit)
 
 
-def zero_gradients(tensors) -> None:
-    """Clear stored gradients on an iterable (or dict) of tensors."""
-    if isinstance(tensors, dict):
-        tensors = tensors.values()
-    for t in tensors:
+def zero_gradients(params: dict[str, Tensor]) -> None:
+    """Clear the stored gradients of a dict of tensors."""
+    for t in params.values():
         t.grad = None
 
 
@@ -239,13 +236,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         emit(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    def bw(g, emit):
-        emit(a, g * (a.data > 0.0))
-
-    return _node(np.maximum(a.data, 0.0), (a,), bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -428,6 +418,9 @@ def dropout(x: Tensor, p: float, rng, positions: int | None = None) -> Tensor:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return x
+    if not isinstance(rng, (list, tuple)):
+        raise ShapeError(f"dropout: rng must be a list of one seed or Generator per example, "
+                         f"got {type(rng).__name__}")
     if len(rng) != x.data.shape[0]:
         raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
     rows = x.data.shape[1]

@@ -151,8 +151,8 @@ class CaptionModel:
         of B ImageFeatures: [B, 1, D]. ``rng`` is a list of B generators when
         dropout draws, else None."""
         x = Tensor(global_rows(features, self.config.feature_dim))
-        x = ad.dropout(x, self.config.dropout_p, rng)
-        return ad.add(ad.matmul(ad.relu(x), self.params["image_w"]), self.params["image_b"])
+        x = Tensor(np.maximum(ad.dropout(x, self.config.dropout_p, rng).data, 0.0))
+        return ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
 
     def _spatial(self, features) -> Tensor | None:
         """The checked spatial grids [B, G*G, C] of a list of B ImageFeatures

@@ -176,9 +176,6 @@ class TokenSeq:
         if not 1 <= self.valid_len <= len(self.input_ids):
             raise ValueError(f"valid_len {self.valid_len} out of range")
 
-    def __len__(self) -> int:
-        return len(self.input_ids)
-
     @classmethod
     def from_token_ids(cls, ids, max_steps: int) -> "TokenSeq":
         ids = list(ids)[:max_steps]
@@ -200,12 +197,9 @@ def encode(caption: list[str], vocab: Vocabulary, max_steps: int) -> TokenSeq:
 
 
 def decode(ids, vocab: Vocabulary) -> list[str]:
-    """Ids back to tokens, skipping a leading <S> and stopping at the first <E>."""
-    ids = list(np.asarray(ids, dtype=np.int64))
-    if ids and ids[0] == START_ID:
-        ids = ids[1:]
+    """Ids back to tokens, every one up to the first <E>."""
     out = []
-    for token_id in ids:
+    for token_id in np.asarray(ids, dtype=np.int64):
         if token_id == END_ID:
             break
         out.append(vocab.decode_id(int(token_id)))

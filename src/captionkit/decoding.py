@@ -33,7 +33,7 @@ def _step_limit(model, max_steps: int | None) -> int:
 def _search(model, features, limit: int, extend):
     """The stepping loop: ``extend(live, probs)`` picks a step's surviving
     (live row, token id, logprob) extensions, in row order. Returns the
-    (token ids, logprob) pairs that ended, and those live at the cap."""
+    (token ids, logprob) pairs that ended, then those live at the cap."""
     state, live, finished = model.start(features), [((), 0.0)], []
     rows, tokens = [0], [START_ID]
     for _ in range(limit):
@@ -46,7 +46,7 @@ def _search(model, features, limit: int, extend):
         live = [(live[row][0] + (token_id,), logprob) for row, token_id, logprob in picks]
         if not live:
             break
-    return finished, live
+    return finished + live
 
 
 def greedy_decode(model, features, max_steps: int | None = None) -> TokenSeq:
@@ -74,8 +74,7 @@ def sample_decode(model, features, max_steps: int | None = None,
         tempered /= tempered.sum()
         return [(0, int(rng.choice(len(tempered), p=tempered)), 0.0)]
 
-    finished, live = _search(model, features, limit, draw)
-    return TokenSeq.from_token_ids((finished + live)[0][0], limit)
+    return TokenSeq.from_token_ids(_search(model, features, limit, draw)[0][0], limit)
 
 
 def beam_search(model, features, max_steps: int | None = None,
@@ -111,7 +110,5 @@ def beam_search(model, features, max_steps: int | None = None,
         return [(index // vocab_size, int(order[index % vocab_size]), float(scores[index]))
                 for index in sorted(np.argsort(-scores, kind="stable")[:beam_size].tolist())]
 
-    finished, live = _search(model, features, limit, best)
-    # The live ones hit the length cap without <E>.
-    pool = sorted(finished + live, key=lambda h: (-h[1], h[0]))
+    pool = sorted(_search(model, features, limit, best), key=lambda h: (-h[1], h[0]))
     return [(TokenSeq.from_token_ids(ids, limit), logprob) for ids, logprob in pool[:beam_size]]

@@ -82,7 +82,7 @@ class LstmModel:
     def init_state(self, features) -> LstmState:
         """h0 = linear(relu(global feature)) and m0 = 0, each [B, 1, H] for a
         list of B ImageFeatures."""
-        x = ad.relu(Tensor(global_rows(features, self.config.feature_dim)))
+        x = Tensor(np.maximum(global_rows(features, self.config.feature_dim), 0.0))
         h0 = ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
         return LstmState(hidden=h0, memory=Tensor(np.zeros(h0.data.shape)))
 

@@ -15,7 +15,7 @@ from captionkit import analysis
 from captionkit import autodiff as ad
 from captionkit.analysis import LossStats, nll_loss, teacher_forced_ids
 from captionkit.autodiff import Tensor
-from captionkit.checkpoint import save_checkpoint
+from captionkit.checkpoint import load_checkpoint, save_checkpoint
 from captionkit.data import (EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode,
                              write_lines)
 
@@ -138,7 +138,9 @@ def train(
     ``eval_cadence``-th epoch counted from epoch 0 and at the last epoch, a
     val record, both measured after the epoch's updates with dropout off, so
     a resumed run evaluates the epochs an uninterrupted one would; the
-    best-validation-loss checkpoint is retained alongside the latest one.
+    best-validation-loss checkpoint is retained alongside the latest one. A
+    resumed run keeps the ``best.ckpt`` of an earlier epoch, with that
+    epoch's val loss, until one of its own epochs beats it.
 
     With ``out_dir``, each epoch rewrites ``metrics.csv`` before its
     checkpoints, and a resumed run keeps the file's rows of the epochs before
@@ -151,6 +153,9 @@ def train(
     optimizer = RmsProp(params, config.rms_alpha, config.rms_epsilon)
     result = TrainResult()
 
+    train_probe = train_examples[: config.probe_size]
+    val_probe = val_examples[: config.probe_size]
+
     ckpt_dir = None
     metrics = [analysis.METRICS_CSV_HEADER]
     if out_dir is not None:
@@ -161,9 +166,15 @@ def train(
             with open(metrics_path, encoding="utf-8") as fh:
                 rows = fh.read().splitlines()[1:]
             metrics += [row for row in rows if int(row.split(",", 1)[0]) < start_epoch]
-
-    train_probe = train_examples[: config.probe_size]
-    val_probe = val_examples[: config.probe_size]
+        best_path = os.path.join(ckpt_dir, "best.ckpt")
+        if start_epoch > 0 and val_probe and os.path.exists(best_path):
+            best = load_checkpoint(best_path, expect_config=model.config)
+            if best.epoch < start_epoch:
+                # The probe is a pure function of the parameters, which the
+                # file round-trips bit-exactly: the earlier run's val loss.
+                result.best_epoch, result.best_path = best.epoch, best_path
+                result.best_val_loss = analysis.grad_norm_probe(
+                    best.model, val_probe, config.batch_size).loss
 
     for epoch in range(start_epoch, start_epoch + config.epochs):
         lr = lr_for_epoch(config, epoch)
@@ -197,7 +208,7 @@ def train(
             metrics += [record.csv_row() for record in records]
             write_lines(metrics_path, metrics)
             if improved:
-                result.best_path = os.path.join(ckpt_dir, "best.ckpt")
+                result.best_path = best_path
                 save_checkpoint(result.best_path, model, seed=config.seed,
                                 epoch=epoch, vocab=vocab)
             result.last_path = os.path.join(ckpt_dir, "last.ckpt")

@@ -2,6 +2,8 @@
 forwards against per-example forwards, the batch NLL, and the trainer's one
 graph per minibatch against the per-example reference loop."""
 
+import inspect
+import sys
 from functools import reduce
 
 import numpy as np
@@ -11,7 +13,7 @@ from captionkit import autodiff as ad
 from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
 from captionkit import training as tr
-from captionkit.analysis import LossStats, nll_loss
+from captionkit.analysis import LossStats, grad_norm_probe, nll_loss, teacher_forced_ids
 from captionkit.data import ImageFeatures, TokenSeq, synth_corpus
 from conftest import assert_grads_close, finite_difference
 
@@ -168,6 +170,30 @@ def model_and_examples(kind, n=5):
 
 def batch_inputs(examples):
     return np.stack([ex.seq.input_ids for ex in examples]), [ex.features for ex in examples]
+
+
+def test_every_op_builds_tracked_nodes_in_an_update_or_the_probe(monkeypatch):
+    # An op whose backward no update and no probe runs is a path no caller
+    # reaches. Every function in autodiff.__all__ but four helpers is an op.
+    node, used = ad._node, set()
+
+    def recording_node(data, parents, bw):
+        out = node(data, parents, bw)
+        if out.requires_grad:
+            used.add(sys._getframe(1).f_code.co_name)
+        return out
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    for kind in ("cnn", "lstm"):
+        model, examples = model_and_examples(kind)
+        seqs = [ex.seq for ex in examples]
+        probs, _ = model.forward(teacher_forced_ids(seqs), [ex.features for ex in examples],
+                                 seed=list(range(len(examples))))
+        ad.backward(nll_loss(probs, seqs))
+        grad_norm_probe(model, examples)
+    helpers = {"backward", "zero_gradients", "as_generator", "view"}
+    ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))} - helpers
+    assert sorted(ops - used) == []
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])

@@ -371,6 +371,32 @@ class TestCaptionEvalAnalyze:
             scores = [s for _, s in rows]
             assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_caption_prints_every_generated_token(self, tmp_path, kind):
+        # A fresh model ties every token, so beam 3 ranks the captions of
+        # the ids (), (<S>,) and (<S>, <S>): three different captions.
+        data_dir = make_data(tmp_path, scenes=4)
+        vocab = Vocabulary.from_file(data_dir / "vocab.txt")
+        if kind == "lstm":
+            model = lm.init_params(lm.LstmConfig(vocab_size=vocab.size, embed_dim=4,
+                                                 hidden_dim=4, max_steps=8, feature_dim=96), 0)
+        else:
+            model = cm.init_params(cm.ModelConfig(
+                vocab_size=vocab.size, embed_dim=4, hidden_dim=4, num_layers=2,
+                kernel_widths=(2, 2), bottleneck_dim=4, max_steps=8, feature_dim=96), 0)
+        ckpt = tmp_path / "fresh.ckpt"
+        save_checkpoint(ckpt, model, seed=0, epoch=0, vocab=vocab)
+        out_file = tmp_path / "caps.txt"
+        assert run(["caption", "--ckpt", ckpt, "--features", data_dir / "features.ccf",
+                    "--beam", 3, "--out", out_file]) == 0
+        by_image = {}
+        for line in out_file.read_text().splitlines():
+            image_id, _, _, caption = line.split("\t")
+            by_image.setdefault(image_id, []).append(caption)
+        assert len(by_image) == len(read_features(data_dir / "features.ccf"))
+        for captions in by_image.values():
+            assert captions == ["", "<S>", "<S> <S>"]
+
     def test_eval_writes_bleu_and_reference_pair(self, tmp_path, trained):
         data_dir, ckpt = trained
         out = tmp_path / "eval"

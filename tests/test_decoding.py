@@ -7,7 +7,7 @@ from captionkit import autodiff as ad
 from captionkit import convmodel as cm
 from captionkit import decoding as dec
 from captionkit import lstmmodel as lm
-from captionkit.data import END_ID, START_ID, ImageFeatures, TokenSeq
+from captionkit.data import END_ID, START_ID, ImageFeatures, TokenSeq, Vocabulary, decode
 
 
 def tiny_model(vocab_size=6, seed=0, **overrides):
@@ -135,6 +135,16 @@ def test_exact_ties_at_width_above_one_rank_end_then_lowest_id(kind, beam_size):
     for n, (seq, logprob) in enumerate(ranked, 1):
         assert seq.valid_len == n
         assert logprob == pytest.approx(n * np.log(1 / 7), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_decoding_keeps_every_generated_token(kind):
+    # A generated <S> is a token like any other: the three tied beams
+    # decode to three different captions.
+    vocab = Vocabulary(["<S>", "<E>", "<UNK>", "a", "b", "c", "d"])
+    ranked = dec.beam_search(fresh_model(kind), ImageFeatures(np.linspace(-1.0, 1.0, 5)),
+                             beam_size=3)
+    assert [decode(seq.target_ids, vocab) for seq, _ in ranked] == [[], ["<S>"], ["<S>", "<S>"]]
 
 
 class TieModel:

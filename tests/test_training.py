@@ -229,6 +229,28 @@ class TestTrainLoop:
         keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
         assert keys == [(str(e), split) for e in range(3) for split in ("train", "val")]
 
+    def test_a_resumed_run_keeps_a_better_best_checkpoint(self, tmp_path):
+        # Two good epochs, then a resumed epoch at a rate that makes the
+        # model worse: best.ckpt and the best epoch and loss stay the first
+        # run's.
+        records, vocab = synth_corpus(24, seed=0)
+        examples = tr.prepare_examples(records, vocab, 8)
+        model = lm.init_params(lm.LstmConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=8,
+                                             max_steps=8, feature_dim=96), 1)
+        first = tr.train(model, examples[:16], examples[16:],
+                         tr.TrainConfig(learning_rate=1e-2, epochs=2, seed=4),
+                         out_dir=str(tmp_path), vocab=vocab)
+        best = tmp_path / "checkpoints" / "best.ckpt"
+        kept = best.read_bytes()
+        loaded = load_checkpoint(tmp_path / "checkpoints" / "last.ckpt")
+        resumed = tr.train(loaded.model, examples[:16], examples[16:],
+                           tr.TrainConfig(learning_rate=3.0, epochs=1, seed=4),
+                           out_dir=str(tmp_path), vocab=vocab, start_epoch=2)
+        assert resumed.history[-1].loss > first.best_val_loss
+        assert best.read_bytes() == kept
+        assert (resumed.best_epoch, resumed.best_path) == (first.best_epoch, first.best_path)
+        assert resumed.best_val_loss == first.best_val_loss
+
     def test_resume_continues_staircase(self):
         model, examples, _ = synth_setup()
         cfg = tr.TrainConfig(epochs=1, seed=0, probe_size=4)  # default lr 5e-5, decay 0.1/15

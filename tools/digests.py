@@ -1,0 +1,191 @@
+"""Named sha256 digests of captionkit's outputs, to check that a change
+leaves them byte-identical.
+
+    python3 tools/digests.py <tree>/src > a.json
+    python3 tools/digests.py --compare a.json b.json
+
+The first form imports captionkit from the given source directory and prints
+a JSON object of digests, computed with one BLAS thread at fixed seeds:
+
+* for each model kind (a ``cnn`` with attention, weight norm, residual and
+  dropout, and an ``lstm``, both 64 wide) at ``max_steps`` 8 and 15: the
+  ``metrics.csv``, ``best.ckpt`` and ``last.ckpt`` of a 3-epoch training
+  run and its history; beams of widths 1 and 3 over 12 held-out images, as
+  token ids and ``float.hex`` log-probabilities; ``sample_decode`` at seeds
+  0-9 on the same images; and ``grad_norm_probe`` at chunk size 7;
+* every file of a CLI chain: ``synth``; ``train`` of ``cnn-attn``, plain
+  ``cnn`` and ``lstm`` with a ``--resume``; ``caption`` and ``eval`` at beam 3
+  of all three; ``analyze`` of the ``cnn-attn`` and ``lstm`` pair. The chain
+  runs in a temporary directory, whose path is replaced by ``<root>``.
+
+Digests depend on the BLAS build, so two trees are compared on one machine
+and no digest is kept as an expected value. The second form names every
+digest that differs or that only one file has, and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import importlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+WIDTH = 64
+HELD_OUT = 12
+# The CLI chain's configs; attention needs hidden_dim equal to the channels
+# that ``synth --channels`` writes.
+CLI_WIDTH = 16
+CLI_RECIPE = (f"embed_dim = {CLI_WIDTH}\nhidden_dim = {CLI_WIDTH}\nlearning_rate = 1e-3\n"
+              "epochs = 2\nbatch_size = 16\nseed = 3\nprobe_size = 16\n")
+CLI_CONV = f"bottleneck_dim = {CLI_WIDTH}\nnum_layers = 2\nkernel_widths = 2,3\ndropout_p = 0.1\n"
+CLI_CONFIGS = {"attn.cfg": CLI_RECIPE + CLI_CONV + "weight_norm = true\nresidual = true\n",
+               "cnn.cfg": CLI_RECIPE + CLI_CONV,
+               "lstm.cfg": CLI_RECIPE}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _lines(lines) -> bytes:
+    return "\n".join(lines).encode("utf-8")
+
+
+def _hex_fields(record) -> str:
+    """A dataclass's fields with every float written exactly."""
+    return json.dumps({k: v.hex() if isinstance(v, float) else v
+                       for k, v in dataclasses.asdict(record).items()}, sort_keys=True)
+
+
+def _model(kind: str, vocab_size: int, features, max_steps: int):
+    cm = importlib.import_module("captionkit.convmodel")
+    lm = importlib.import_module("captionkit.lstmmodel")
+    if kind == "lstm":
+        return lm.init_params(lm.LstmConfig(vocab_size=vocab_size, embed_dim=WIDTH,
+                                            hidden_dim=WIDTH, max_steps=max_steps,
+                                            feature_dim=features.global_vec.shape[0]), 2)
+    return cm.init_params(cm.ModelConfig(
+        vocab_size=vocab_size, embed_dim=WIDTH, hidden_dim=WIDTH, num_layers=3,
+        kernel_widths=(2, 3, 3), bottleneck_dim=WIDTH, max_steps=max_steps,
+        feature_dim=features.global_vec.shape[0], dropout_p=0.1, weight_norm=True,
+        residual=True, attention=True, grid_size=features.spatial.shape[0],
+        spatial_channels=features.spatial.shape[2]), 2)
+
+
+def library_digests(work: Path) -> dict[str, str]:
+    data = importlib.import_module("captionkit.data")
+    training = importlib.import_module("captionkit.training")
+    decoding = importlib.import_module("captionkit.decoding")
+    analysis = importlib.import_module("captionkit.analysis")
+    records, vocab = data.synth_corpus(100, seed=5, spatial_channels=WIDTH)
+    digests = {}
+    for kind in ("cnn", "lstm"):
+        for max_steps in (8, 15):
+            name = f"{kind}/max_steps={max_steps}"
+            examples = training.prepare_examples(records, vocab, max_steps)
+            train, val = examples[:80], examples[80:]
+            model = _model(kind, vocab.size, records[0].features, max_steps)
+            run_dir = work / name
+            result = training.train(
+                model, train, val,
+                training.TrainConfig(learning_rate=1e-3, epochs=3, seed=11, probe_size=64),
+                out_dir=str(run_dir), vocab=vocab)
+            for path in ("metrics.csv", "checkpoints/best.ckpt", "checkpoints/last.ckpt"):
+                digests[f"{name}/{Path(path).name}"] = _sha((run_dir / path).read_bytes())
+            digests[f"{name}/history"] = _sha(_lines(map(_hex_fields, result.history)))
+            images = [ex.features for ex in val[:HELD_OUT]]
+            for width in (1, 3):
+                digests[f"{name}/beam{width}"] = _sha(_lines(
+                    f"{seq.target_ids.tolist()} {logprob.hex()}" for features in images
+                    for seq, logprob in decoding.beam_search(model, features, beam_size=width)))
+            digests[f"{name}/sample"] = _sha(_lines(
+                str(decoding.sample_decode(model, features, seed=seed).target_ids.tolist())
+                for features in images for seed in range(10)))
+            probe = analysis.grad_norm_probe(model, examples[:50], batch_size=7)
+            digests[f"{name}/probe"] = _sha(_hex_fields(probe).encode("utf-8"))
+    return digests
+
+
+def cli_digests(root: Path) -> dict[str, str]:
+    cli = importlib.import_module("captionkit.cli")
+    root.mkdir(parents=True)
+    for name, text in CLI_CONFIGS.items():
+        (root / name).write_text(text)
+    steps = [
+        ["synth", "--scenes", "60", "--seed", "9", "--channels", str(CLI_WIDTH), "--out", "data"],
+        ["train", "--model", "cnn-attn", "--data", "data", "--config", "attn.cfg", "--out", "attn"],
+        ["train", "--model", "cnn", "--data", "data", "--config", "cnn.cfg", "--out", "cnn"],
+        ["train", "--model", "lstm", "--data", "data", "--config", "lstm.cfg", "--out", "lstm"],
+        ["train", "--model", "lstm", "--data", "data", "--config", "lstm.cfg", "--out", "lstm",
+         "--resume", "lstm/checkpoints/last.ckpt"],
+    ]
+    for run in ("attn", "cnn", "lstm"):
+        ckpt = f"{run}/checkpoints/best.ckpt"
+        steps += [["caption", "--ckpt", ckpt, "--features", "data/features.ccf", "--beam", "3",
+                   "--out", f"caption-{run}/caps.txt"],
+                  ["eval", "--ckpt", ckpt, "--data", "data", "--beam", "3", "--out", f"eval-{run}"]]
+    steps.append(["analyze", "--ckpt", "attn/checkpoints/best.ckpt",
+                  "--ckpt2", "lstm/checkpoints/best.ckpt", "--data", "data", "--beam", "3",
+                  "--limit", "12", "--out", "analyze"])
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for argv in steps:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
+            if status != 0:
+                raise SystemExit(f"captionkit {' '.join(argv)} exited {status}:\n{err.getvalue()}")
+    finally:
+        os.chdir(cwd)
+    return {f"cli/{path.relative_to(root).as_posix()}":
+            _sha(path.read_bytes().replace(str(root).encode("utf-8"), b"<root>"))
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def tree_digests(src: str) -> dict[str, str]:
+    sys.path.insert(0, os.path.abspath(src))
+    package = importlib.import_module("captionkit")
+    print(f"captionkit from {os.path.dirname(package.__file__)}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        return library_digests(work / "lib") | cli_digests(work / "chain")
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a, b = (json.loads(Path(path).read_text()) for path in (a_path, b_path))
+    names = sorted(a.keys() | b.keys())
+    differ = [name for name in names if a.get(name) != b.get(name)]
+    for name in differ:
+        where = "differs" if name in a and name in b else f"only in {a_path if name in a else b_path}"
+        print(f"{where}: {name}")
+    print(f"{len(names) - len(differ)} of {len(names)} digests equal")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", help="a tree's src directory")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two digest files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.src:
+        parser.error("give a src directory or --compare A B")
+    # One BLAS thread, set before captionkit imports numpy: a product's bits
+    # can depend on the thread count.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    print(json.dumps(tree_digests(args.src), indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
