@@ -259,12 +259,12 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
     models), averaged over the examples. A chunk's forward runs on an
     ``ad.view`` of the model in which those two are tracked per-example
     copies ``[B, ...]`` and no other parameter records a backward. Example
-    b reads only copy b, so the backward leaves its gradients in
-    ``.grad[b]`` (per-example gradients as in Goodfellow, arXiv 1510.01799),
-    made by the same products and sums, over the same positions, as that
-    example's own backward would be, so the result is bit-identical at any
-    ``batch_size`` by construction. The caller's model, its parameters and
-    their gradients are never touched. Non-finite gradients set ``finite``
+    b reads only copy b, so row b of each gradient the backward returns is
+    that example's own (per-example gradients as in Goodfellow, arXiv
+    1510.01799), made by the same products and sums, over the same
+    positions, as that example's own backward would be, so the result is
+    bit-identical at any ``batch_size`` by construction. The caller's model
+    and its parameters are never touched. Non-finite gradients set ``finite``
     to False rather than raise, so a diverging run still produces a flagged
     record. No examples raise ``EmptyCorpusError``.
     """
@@ -297,8 +297,8 @@ def _probe_chunk(model, chunk, ids):
     tracked = ("word_embedding", "output_w")
     view = type(model)(model.config, ad.view(model.params, tracked, len(chunk)))
     probs, _ = view.forward(ids, [ex.features for ex in chunk])
-    ad.backward(nll_loss(probs, [ex.seq for ex in chunk], batch_mean=False))
-    return probs.data, *(view.params[name].grad for name in tracked)
+    grads = ad.backward(nll_loss(probs, [ex.seq for ex in chunk], batch_mean=False))
+    return probs.data, *(grads[view.params[name]] for name in tracked)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,9 @@ Each differentiable operation returns a new :class:`Tensor` that records its
 operands and a backward closure, so the executed-operation graph lives on the
 result tensors themselves (no global tape, no shared state between independent
 computations). :func:`backward` on a scalar loss walks that graph once, in
-reverse topological order, and sums gradient contributions into every
-tracked leaf, a tensor with ``requires_grad`` set that no operation made.
-Op results pass their gradient on and keep ``grad`` at ``None``. A leaf's
-gradients keep accumulating across repeated backward calls until explicitly
-cleared, which is what a training loop wants and what makes accumulation
-testable.
+reverse topological order, and returns the summed gradient of every
+tracked leaf it reaches, a tensor with ``requires_grad`` set that no
+operation made. No tensor stores a gradient, so a call leaves nothing behind.
 
 Everything is float64, and the tests check every op's gradient against
 finite differences, alone or inside a model. A batched product is issued per example, so each example's bits
@@ -28,7 +25,6 @@ __all__ = [
     "OutOfVocabularyError",
     "DegenerateDirectionError",
     "backward",
-    "zero_gradients",
     "matmul",
     "add",
     "mul",
@@ -68,19 +64,13 @@ class DegenerateDirectionError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array, optionally tracked for differentiation.
+    """A dense float64 array, optionally tracked for differentiation."""
 
-    ``grad`` is ``None`` until a backward pass deposits a contribution; a
-    leaf that never participates in a loss, and every op result, simply
-    keeps ``None``, which readers treat as zero.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw")
+    __slots__ = ("data", "requires_grad", "_parents", "_bw")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._bw = None
 
@@ -124,19 +114,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into the ``grad`` of every tracked leaf
-    the loss depends on; op results store no gradient.
-
-    Contributions from all uses of a tensor are summed; calling backward
-    twice on the same graph therefore doubles the stored gradients.
-    """
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(leaf) for every tracked leaf the loss depends on, keyed by
+    the leaf; contributions from all uses of a tensor are summed. Each
+    gradient is a fresh array."""
     if loss.data.size != 1:
         raise RankError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    grads: dict[Tensor, np.ndarray] = {}
     if not loss.requires_grad:
-        return
-    # Per-call upstream gradients; kept separate from .grad so repeated
-    # backward calls accumulate exactly once per call.
+        return grads
     pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
 
     def emit(t: Tensor, contrib: np.ndarray) -> None:
@@ -150,21 +136,16 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if t._bw is None:
-            t.grad = np.array(g) if t.grad is None else t.grad + g
+            grads[t] = np.array(g)
         else:
             t._bw(g, emit)
-
-
-def zero_gradients(params: dict[str, Tensor]) -> None:
-    """Clear the stored gradients of a dict of tensors."""
-    for t in params.values():
-        t.grad = None
+    return grads
 
 
 def view(params: dict[str, Tensor], tracked=(), batch: int = 1) -> dict[str, Tensor]:
     """Tensors over the same arrays as ``params`` that record no backward,
     except each name in ``tracked``: a tracked per-example copy ``[batch, ...]``
-    (broadcast, nothing copied) whose ``.grad[b]`` holds the gradient through copy b."""
+    (broadcast, nothing copied) whose gradient's row b is the gradient through copy b."""
     return {name: Tensor(np.broadcast_to(p.data, (batch,) + p.shape), requires_grad=True)
             if name in tracked else Tensor(p.data)
             for name, p in params.items()}

@@ -294,6 +294,9 @@ def cmd_train(args) -> int:
         start_epoch = 0
         if args.resume:
             loaded = load_checkpoint(args.resume, expect_config=model_config)
+            if loaded.vocab is not None and loaded.vocab != vocab:
+                raise CliError(f"{args.resume} holds a vocabulary that differs from "
+                               f"{_data_file(args.data, 'vocab.txt')}")
             model = loaded.model
             start_epoch = loaded.epoch + 1
         else:

@@ -6,6 +6,7 @@ best-by-validation checkpointing.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -39,14 +40,15 @@ class TrainConfig:
     probe_size: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.decay_period < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("decay_period, epochs and batch_size must be >= 1")
-        if not 0.0 < self.rms_alpha < 1.0 or self.rms_epsilon <= 0:
-            raise ValueError("rms_alpha must be in (0, 1) and rms_epsilon > 0")
+        if not (0.0 < self.rms_alpha < 1.0 and self.rms_epsilon > 0
+                and math.isfinite(self.rms_epsilon)):
+            raise ValueError("rms_alpha must be in (0, 1) and rms_epsilon > 0 and finite")
         if self.loss_reduction not in ("mean", "sum"):
             raise ValueError(f"loss_reduction must be 'mean' or 'sum', got {self.loss_reduction}")
         if self.eval_cadence < 1 or self.probe_size < 1:
@@ -68,10 +70,11 @@ class RmsProp:
         self.accum = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.steps = 0
 
-    def step(self, lr: float) -> None:
-        """Apply one update; a non-finite gradient anywhere aborts it before
+    def step(self, lr: float, grads: dict[Tensor, np.ndarray]) -> None:
+        """Update the parameters that ``grads`` holds, as ``ad.backward``
+        returns it; a non-finite gradient anywhere aborts the update before
         any parameter, accumulator or the step count changes."""
-        live = [(name, t, t.grad) for name, t in self.params.items() if t.grad is not None]
+        live = [(name, t, grads[t]) for name, t in self.params.items() if t in grads]
         for name, _, g in live:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
@@ -149,8 +152,7 @@ def train(
     """
     if not train_examples:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    params = model.parameters()
-    optimizer = RmsProp(params, config.rms_alpha, config.rms_epsilon)
+    optimizer = RmsProp(model.parameters(), config.rms_alpha, config.rms_epsilon)
     result = TrainResult()
 
     train_probe = train_examples[: config.probe_size]
@@ -183,12 +185,11 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
             seeds = [int(rng.integers(2**31)) for _ in batch]
-            ad.zero_gradients(params)
             seqs = [ex.seq for ex in batch]
             probs, _ = model.forward(teacher_forced_ids(seqs), [ex.features for ex in batch],
                                      seed=seeds)
-            ad.backward(nll_loss(probs, seqs, config.loss_reduction, result.loss_stats))
-            optimizer.step(lr)
+            loss = nll_loss(probs, seqs, config.loss_reduction, result.loss_stats)
+            optimizer.step(lr, ad.backward(loss))
 
         records = [analysis.grad_norm_probe(model, train_probe, config.batch_size)
                    .record(epoch, "train")]

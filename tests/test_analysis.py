@@ -217,17 +217,16 @@ class TestGradNormProbe:
         model, examples = self._model_examples()
         ex = examples[0]
         probe = analysis.grad_norm_probe(model, examples)
-        ad.zero_gradients(model.params)
         probs, _ = model.forward(ex.seq.input_ids[None], [ex.features])
         rows = ex.seq.valid_len
         sel = ad.pick(probs, ex.seq.target_ids[None, :rows])
         loss = ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows))
-        ad.backward(loss)
+        grads = ad.backward(loss)
         assert probe.grad_norm_in == pytest.approx(
-            float(np.linalg.norm(model.params["word_embedding"].grad)), rel=1e-12
+            float(np.linalg.norm(grads[model.params["word_embedding"]])), rel=1e-12
         )
         assert probe.grad_norm_out == pytest.approx(
-            float(np.linalg.norm(model.params["output_w"].grad)), rel=1e-12
+            float(np.linalg.norm(grads[model.params["output_w"]])), rel=1e-12
         )
 
     def test_no_examples_rejected(self):
@@ -243,14 +242,13 @@ class TestGradNormProbe:
         analysis.grad_norm_probe(model, examples)  # smoke: probe runs
         from captionkit import autodiff as ad
 
-        ad.zero_gradients(model.params)
         probs, _ = model.forward(ex.seq.input_ids[None], [ex.features])
         rows = ex.seq.valid_len
         loss = ad.mul(
             ad.sum_all(ad.log(ad.pick(probs, ex.seq.target_ids[None, :rows]))),
             ad.Tensor(-1.0 / rows),
         )
-        ad.backward(loss)
+        grads = ad.backward(loss)
 
         def ref():
             p = model.forward_probs(ex.seq.input_ids, ex.features)
@@ -260,7 +258,7 @@ class TestGradNormProbe:
         for name in ("word_embedding", "output_w"):
             tensor = model.params[name]
             fd = finite_difference(ref, [tensor.data])[0]
-            assert_grads_close(tensor.grad, fd, rtol=1e-4, atol=1e-8)
+            assert_grads_close(grads[tensor], fd, rtol=1e-4, atol=1e-8)
 
 
 def _probe_setup(kind):
@@ -293,13 +291,12 @@ class TestMeasurementPass:
         norm_in = 0.0
         norm_out = 0.0
         for ex in examples:
-            ad.zero_gradients(model.params)
             probs, _ = model.forward(ex.seq.input_ids[None], [ex.features])
             rows = ex.seq.valid_len
             sel = ad.clamp_min(ad.pick(probs, ex.seq.target_ids[None, :rows]), 1e-12)
-            ad.backward(ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows)))
-            norm_in += float(np.linalg.norm(model.params["word_embedding"].grad))
-            norm_out += float(np.linalg.norm(model.params["output_w"].grad))
+            grads = ad.backward(ad.mul(ad.sum_all(ad.log(sel)), ad.Tensor(-1.0 / rows)))
+            norm_in += float(np.linalg.norm(grads[model.params["word_embedding"]]))
+            norm_out += float(np.linalg.norm(grads[model.params["output_w"]]))
         assert probe.grad_norm_in == norm_in / len(examples)
         assert probe.grad_norm_out == norm_out / len(examples)
         assert probe.finite
@@ -325,12 +322,10 @@ class TestMeasurementPass:
 
     @staticmethod
     def _model_snapshot(model):
-        # Mark each parameter's gradient and untrack one parameter, so that
-        # a probe that touched either would show.
+        # Untrack one parameter, so that a probe that changed a parameter's
+        # tracking would show.
         model.params["image_b"].requires_grad = False
-        for p in model.params.values():
-            p.grad = np.full(p.data.shape, 7.0)
-        return model.params, [(name, p, p.data, p.data.copy(), p.requires_grad, p.grad)
+        return model.params, [(name, p, p.data, p.data.copy(), p.requires_grad)
                               for name, p in model.params.items()]
 
     @staticmethod
@@ -338,10 +333,10 @@ class TestMeasurementPass:
         params, entries = snapshot
         assert model.params is params
         assert [name for name, *_ in entries] == list(params)
-        for name, p, data, values, requires_grad, grad in entries:
+        for name, p, data, values, requires_grad in entries:
             assert params[name] is p and p.data is data, name
             assert np.array_equal(p.data, values), name
-            assert p.requires_grad == requires_grad and p.grad is grad, name
+            assert p.requires_grad == requires_grad, name
 
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_probe_leaves_the_model_as_it_found_it(self, kind):

@@ -32,10 +32,10 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = t(rng.normal(size=(3, 4)))
         b = t(rng.normal(size=(4, 2)))
-        ad.backward(ad.sum_all(ad.matmul(a, b)))
+        grads = ad.backward(ad.sum_all(ad.matmul(a, b)))
         fd = finite_difference(lambda: (a.data @ b.data).sum(), [a.data, b.data])
-        assert_grads_close(a.grad, fd[0], rtol=1e-6)
-        assert_grads_close(b.grad, fd[1], rtol=1e-6)
+        assert_grads_close(grads[a], fd[0], rtol=1e-6)
+        assert_grads_close(grads[b], fd[1], rtol=1e-6)
 
 
 class TestCausalConv1d:
@@ -76,7 +76,7 @@ class TestCausalConv1d:
         bias = t(rng.normal(size=3))
         w = rng.normal(size=(5, 3))  # fixed weighting so the loss is non-trivial
         loss = ad.sum_all(ad.mul(ad.causal_conv1d(x, kernel, bias), t(w, grad=False)))
-        ad.backward(loss)
+        grads = ad.backward(loss)
 
         def ref():
             K = kernel.data.shape[0]
@@ -87,9 +87,9 @@ class TestCausalConv1d:
             return (out * w).sum()
 
         fd = finite_difference(ref, [x.data, kernel.data, bias.data])
-        assert_grads_close(x.grad, fd[0], rtol=1e-5)
-        assert_grads_close(kernel.grad, fd[1], rtol=1e-5)
-        assert_grads_close(bias.grad, fd[2], rtol=1e-5)
+        assert_grads_close(grads[x], fd[0], rtol=1e-5)
+        assert_grads_close(grads[kernel], fd[1], rtol=1e-5)
+        assert_grads_close(grads[bias], fd[2], rtol=1e-5)
 
 
 class TestGlu:
@@ -166,8 +166,8 @@ class TestLstmCell:
         for cell in (ad.lstm_cell, composed_cell):
             z, memory = t(z0.copy()), t(m0.copy(), grad=memory_tracked)
             out = cell(z, memory)
-            ad.backward(ad.sum_all(ad.mul(out, upstream)))
-            results.append((out.data, z.grad, memory.grad))
+            grads = ad.backward(ad.sum_all(ad.mul(out, upstream)))
+            results.append((out.data, grads[z], grads.get(memory)))
         fused, composed = results
         assert np.array_equal(fused[0], composed[0])
         assert np.array_equal(fused[1], composed[1])
@@ -182,7 +182,7 @@ class TestLstmCell:
         z = t(rng.normal(size=(2, 1, 4 * h)))
         memory = t(rng.normal(size=(2, 1, h)))
         w = rng.normal(size=(2, 1, 2 * h))
-        ad.backward(ad.sum_all(ad.mul(ad.lstm_cell(z, memory), t(w, grad=False))))
+        grads = ad.backward(ad.sum_all(ad.mul(ad.lstm_cell(z, memory), t(w, grad=False))))
 
         def ref():
             gates = 1.0 / (1.0 + np.exp(-z.data[..., :3 * h]))
@@ -191,8 +191,8 @@ class TestLstmCell:
             return (np.concatenate([m, o * np.tanh(m)], axis=-1) * w).sum()
 
         fd = finite_difference(ref, [z.data, memory.data])
-        assert_grads_close(z.grad, fd[0], rtol=1e-6)
-        assert_grads_close(memory.grad, fd[1], rtol=1e-6)
+        assert_grads_close(grads[z], fd[0], rtol=1e-6)
+        assert_grads_close(grads[memory], fd[1], rtol=1e-6)
 
 
 def _sigmoid_by_glu(x):
@@ -282,8 +282,8 @@ class TestElementwiseSuite:
     def test_dropout_gradient_is_mask(self):
         x = t(np.ones((1, 4, 4)))
         out = ad.dropout(x, 0.5, [5])
-        ad.backward(ad.sum_all(out))
-        assert np.array_equal(x.grad, out.data)  # survivors carry 1/(1-p)
+        grads = ad.backward(ad.sum_all(out))
+        assert np.array_equal(grads[x], out.data)  # survivors carry 1/(1-p)
 
     def test_dropout_invalid_p(self):
         with pytest.raises(ValueError):
@@ -313,9 +313,9 @@ class TestElementwiseSuite:
         def masked(data):
             return ad.dropout(data, 0.3, [5, 6], positions=7)
 
-        ad.backward(ad.sum_all(ad.mul(masked(x), t(w, grad=False))))
+        grads = ad.backward(ad.sum_all(ad.mul(masked(x), t(w, grad=False))))
         fd = finite_difference(lambda: (masked(t(x.data, grad=False)).data * w).sum(), [x.data])
-        assert_grads_close(x.grad, fd[0], rtol=1e-6)
+        assert_grads_close(grads[x], fd[0], rtol=1e-6)
 
     def test_lookup_matches_one_hot_matmul(self):
         rng = np.random.default_rng(4)
@@ -329,8 +329,8 @@ class TestElementwiseSuite:
     def test_lookup_gradient_accumulates_repeats(self):
         table = t(np.zeros((3, 2)))
         out = ad.embedding_lookup(table, [1, 1, 2])
-        ad.backward(ad.sum_all(out))
-        assert np.array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+        grads = ad.backward(ad.sum_all(out))
+        assert np.array_equal(grads[table], [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
 
     def test_lookup_rejects_out_of_range(self):
         with pytest.raises(ad.OutOfVocabularyError, match="id 5"):
@@ -359,15 +359,15 @@ class TestWeightNorm:
         g = t(rng.uniform(0.5, 2.0, size=4))
         weights = rng.normal(size=(3, 4))
         loss = ad.sum_all(ad.mul(ad.weight_norm(v, g), t(weights, grad=False)))
-        ad.backward(loss)
+        grads = ad.backward(loss)
 
         def ref():
             n = np.sqrt((v.data * v.data).sum(axis=0))
             return (v.data * (g.data / n) * weights).sum()
 
         fd = finite_difference(ref, [v.data, g.data])
-        assert_grads_close(v.grad, fd[0], rtol=1e-6)
-        assert_grads_close(g.grad, fd[1], rtol=1e-6)
+        assert_grads_close(grads[v], fd[0], rtol=1e-6)
+        assert_grads_close(grads[g], fd[1], rtol=1e-6)
 
     def test_zero_norm_rejected(self):
         v = np.ones((3, 2))
@@ -407,19 +407,18 @@ class TestView:
             return ad.sum_all(ad.matmul(ad.embedding_lookup(table, ids), view["w"]))
 
         ids = np.array([[0, 4, 4], [2, 1, 0]])
-        ad.backward(loss(copy, ids))
+        grads = ad.backward(loss(copy, ids))
         for b in range(2):
             alone = t(params["table"].data.copy())
-            ad.backward(loss(alone, ids[b]))
-            assert np.array_equal(copy.grad[b], alone.grad), b
-        assert all(p.grad is None for p in params.values())
+            assert np.array_equal(grads[copy][b], ad.backward(loss(alone, ids[b]))[alone]), b
+        assert list(grads) == [copy]
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = t(np.arange(6.0).reshape(2, 3))
-        ad.backward(ad.sum_all(x))
-        assert np.array_equal(x.grad, np.ones((2, 3)))
+        grads = ad.backward(ad.sum_all(x))
+        assert np.array_equal(grads[x], np.ones((2, 3)))
 
     def test_composite_chain_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -434,7 +433,7 @@ class TestBackward:
                 ad.mul(ad.softmax(ad.glu(ad.causal_conv1d(x, kernel, bias))), probe)
             )
 
-        ad.backward(graph())
+        grads = ad.backward(graph())
 
         def ref():
             K = kernel.data.shape[0]
@@ -448,20 +447,19 @@ class TestBackward:
             return (e / e.sum(axis=-1, keepdims=True) * w).sum()
 
         fd = finite_difference(ref, [x.data, kernel.data, bias.data])
-        assert_grads_close(x.grad, fd[0], rtol=1e-5)
-        assert_grads_close(kernel.grad, fd[1], rtol=1e-5)
-        assert_grads_close(bias.grad, fd[2], rtol=1e-5)
+        assert_grads_close(grads[x], fd[0], rtol=1e-5)
+        assert_grads_close(grads[kernel], fd[1], rtol=1e-5)
+        assert_grads_close(grads[bias], fd[2], rtol=1e-5)
 
-    def test_repeated_backward_doubles_exactly(self):
+    def test_repeated_backward_returns_equal_gradients(self):
         rng = np.random.default_rng(9)
         x = t(rng.normal(size=(3, 3)))
         y = t(rng.normal(size=(3, 3)))
         loss = ad.sum_all(ad.mul(ad.matmul(x, y), ad.matmul(x, y)))
-        ad.backward(loss)
-        once = x.grad.copy(), y.grad.copy()
-        ad.backward(loss)
-        assert np.array_equal(x.grad, 2.0 * once[0])
-        assert np.array_equal(y.grad, 2.0 * once[1])
+        once = ad.backward(loss)
+        again = ad.backward(loss)
+        assert np.array_equal(again[x], once[x])
+        assert np.array_equal(again[y], once[y])
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ad.RankError):
@@ -470,21 +468,29 @@ class TestBackward:
     def test_shared_operand_sums_contributions(self):
         x = t(np.array([[2.0]]))
         loss = ad.sum_all(ad.add(ad.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
-        ad.backward(loss)
-        assert np.array_equal(x.grad, [[5.0]])
+        grads = ad.backward(loss)
+        assert np.array_equal(grads[x], [[5.0]])
 
     def test_op_results_store_no_gradient(self):
         x = t(np.array([[2.0, -1.0]]))
         hidden = ad.clamp_min(x, 0.0)
-        ad.backward(ad.sum_all(ad.mul(hidden, hidden)))
-        assert hidden.grad is None
-        assert np.array_equal(x.grad, [[4.0, 0.0]])
+        grads = ad.backward(ad.sum_all(ad.mul(hidden, hidden)))
+        assert set(grads) == {x}
+        assert np.array_equal(grads[x], [[4.0, 0.0]])
 
-    def test_zero_gradients_helper(self):
-        x = t(np.ones(3))
-        ad.backward(ad.sum_all(x))
-        ad.zero_gradients({"x": x})
-        assert x.grad is None
+    def test_keys_are_the_tracked_leaves_the_loss_reaches(self):
+        x, y, unreached = t(np.ones((1, 2))), t(np.full((1, 2), 3.0)), t(np.ones((1, 2)))
+        constant = t(np.full((1, 2), 2.0), grad=False)
+        product = ad.mul(ad.add(x, constant), y)
+        grads = ad.backward(ad.sum_all(product))
+        assert set(grads) == {x, y}
+        assert unreached not in grads and constant not in grads and product not in grads
+        assert np.array_equal(grads[x], [[3.0, 3.0]])
+        assert np.array_equal(grads[y], [[3.0, 3.0]])
+        assert ad.backward(ad.sum_all(constant)) == {}
+
+    def test_tensors_hold_no_gradient(self):
+        assert not hasattr(ad.Tensor(np.ones(2), requires_grad=True), "grad")
 
 
 def test_replay_is_bit_identical():
@@ -495,8 +501,8 @@ def test_replay_is_bit_identical():
         kernel = t(np.random.default_rng(11).normal(size=(2, 4, 8)))
         out = ad.glu(ad.causal_conv1d(ad.dropout(x, 0.25, [42]), kernel, t(np.zeros(8))))
         loss = ad.sum_all(out)
-        ad.backward(loss)
-        return out.data.copy(), x.grad.copy(), kernel.grad.copy()
+        grads = ad.backward(loss)
+        return out.data.copy(), grads[x], grads[kernel]
 
     first, second = run(), run()
     for a, b in zip(first, second):

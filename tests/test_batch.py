@@ -27,11 +27,11 @@ def weighted_fd_check(op, arrays, rtol=1e-5):
     tensors = [t(a) for a in arrays]
     out = op(*tensors)
     w = np.random.default_rng(99).normal(size=out.data.shape)
-    ad.backward(ad.sum_all(ad.mul(out, t(w, grad=False))))
+    grads = ad.backward(ad.sum_all(ad.mul(out, t(w, grad=False))))
     fd = finite_difference(lambda: (op(*[t(x.data, grad=False) for x in tensors]).data * w).sum(),
                            [x.data for x in tensors])
     for x, numeric in zip(tensors, fd):
-        assert_grads_close(x.grad, numeric, rtol=rtol)
+        assert_grads_close(grads[x], numeric, rtol=rtol)
 
 
 class TestBatchedOps:
@@ -96,13 +96,13 @@ class TestBatchedOps:
         xb = t(x)
         out = ad.causal_conv1d(xb, kernel, bias)
         g = self.rng.normal(size=out.data.shape)
-        ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))
+        grads = ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))
         for b in range(4):
             xs = t(x[b])
             single = ad.causal_conv1d(xs, kernel, bias)
-            ad.backward(ad.sum_all(ad.mul(single, t(g[b], grad=False))))
+            single_grads = ad.backward(ad.sum_all(ad.mul(single, t(g[b], grad=False))))
             assert np.array_equal(out.data[b], single.data)
-            assert np.array_equal(xb.grad[b], xs.grad)
+            assert np.array_equal(grads[xb][b], single_grads[xs])
 
     @pytest.mark.parametrize("ids", [[[4, 0, 4, 6], [1, 1, 1, 2], [6, 5, 6, 0]],
                                      [[3], [3], [0]]])
@@ -113,13 +113,13 @@ class TestBatchedOps:
         table = t(tables)
         out = ad.embedding_lookup(table, ids)
         g = self.rng.normal(size=out.data.shape)
-        ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))
+        grads = ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))
         for b in range(3):
             single_table = t(tables[b])
             single = ad.embedding_lookup(single_table, ids[b])
-            ad.backward(ad.sum_all(ad.mul(single, t(g[b], grad=False))))
+            single_grads = ad.backward(ad.sum_all(ad.mul(single, t(g[b], grad=False))))
             assert np.array_equal(out.data[b], single.data)
-            assert np.array_equal(table.grad[b], single_table.grad)
+            assert np.array_equal(grads[table][b], single_grads[single_table])
 
     def test_embedding_lookup_per_example_table(self):
         ids = np.array([[2, 0, 2], [1, 3, 3]])
@@ -191,7 +191,7 @@ def test_every_op_builds_tracked_nodes_in_an_update_or_the_probe(monkeypatch):
                                  seed=list(range(len(examples))))
         ad.backward(nll_loss(probs, seqs))
         grad_norm_probe(model, examples)
-    helpers = {"backward", "zero_gradients", "as_generator", "view"}
+    helpers = {"backward", "as_generator", "view"}
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))} - helpers
     assert sorted(ops - used) == []
 
@@ -204,26 +204,23 @@ def test_batch_matches_per_example_forwards(kind, reduction):
     seeds = [101, 7, 55, 3, 89]
     params = model.parameters()
 
-    ad.zero_gradients(params)
     probs, _ = model.forward(*batch_inputs(examples), seed=seeds)
     batch_loss = nll_loss(probs, [ex.seq for ex in examples], reduction)
-    ad.backward(batch_loss)
-    batched_grads = {name: p.grad.copy() for name, p in params.items()}
+    batched_grads = ad.backward(batch_loss)
 
-    ad.zero_gradients(params)
     rows = []
     losses = []
     for ex, seed in zip(examples, seeds):
         single, _ = model.forward(ex.seq.input_ids[None], [ex.features], seed=[seed])
         rows.append(single.data[0])
         losses.append(nll_loss(single, [ex.seq], reduction))
-    ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
+    grads = ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
 
     assert probs.data.shape == (5,) + rows[0].shape
     assert np.allclose(probs.data, np.stack(rows), rtol=0, atol=1e-12)
     assert abs(batch_loss.data - np.mean([loss.data for loss in losses])) <= 1e-12
     for name, p in params.items():
-        assert np.allclose(batched_grads[name], p.grad, rtol=1e-10, atol=1e-13), name
+        assert np.allclose(batched_grads[p], grads[p], rtol=1e-10, atol=1e-13), name
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
@@ -288,15 +285,14 @@ def reference_epoch(model, examples, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     order = rng.permutation(len(examples))
     for lo in range(0, len(order), config.batch_size):
-        ad.zero_gradients(params)
         losses = []
         for idx in order[lo:lo + config.batch_size]:
             ex = examples[idx]
             probs, _ = model.forward(ex.seq.input_ids[None], [ex.features],
                                      seed=[int(rng.integers(2**31))])
             losses.append(nll_loss(probs, [ex.seq], config.loss_reduction))
-        ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
-        optimizer.step(tr.lr_for_epoch(config, 0))
+        grads = ad.backward(ad.mul(reduce(ad.add, losses), ad.Tensor(1.0 / len(losses))))
+        optimizer.step(tr.lr_for_epoch(config, 0), grads)
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])
@@ -327,10 +323,10 @@ def test_lstm_batch_step_gradient():
     assert new_state.hidden.data.shape == (3, 1, 7)
     assert probs.data.shape == (3, 1, model.config.vocab_size)
     picked = ad.pick(probs, targets[:, None])
-    ad.backward(ad.sum_all(ad.mul(ad.log(picked), t(weights[:, None], grad=False))))
+    grads = ad.backward(ad.sum_all(ad.mul(ad.log(picked), t(weights[:, None], grad=False))))
     for name, tensor in model.params.items():
         fd = finite_difference(loss_value, [tensor.data])[0]
-        assert_grads_close(tensor.grad, fd, rtol=1e-5, atol=1e-8)
+        assert_grads_close(grads[tensor], fd, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", ["cnn", "lstm"])

@@ -193,6 +193,41 @@ class TestTrain:
                     "--resume", out / "checkpoints" / "last.ckpt"]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_resume_with_another_vocabulary_fails(self, tmp_path, capsys):
+        # Seeds 1 and 2 give vocabularies of one size in different orders.
+        first, second = tmp_path / "first", tmp_path / "second"
+        for seed, data_dir in ((1, first), (2, second)):
+            assert run(["synth", "--scenes", 40, "--seed", seed, "--out", data_dir]) == 0
+        vocabs = [Vocabulary.from_file(d / "vocab.txt") for d in (first, second)]
+        assert vocabs[0].size == vocabs[1].size and vocabs[0] != vocabs[1]
+        cfg = write_cfg(tmp_path, "embed_dim = 8\nhidden_dim = 8\nmax_steps = 8\n"
+                                  "learning_rate = 1e-3\nepochs = 1\nprobe_size = 6\n")
+        out = tmp_path / "run"
+        assert run(["train", "--model", "lstm", "--data", first,
+                    "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["train", "--model", "lstm", "--data", second, "--config", cfg,
+                    "--out", tmp_path / "run2",
+                    "--resume", out / "checkpoints" / "last.ckpt"]) == 1
+        err = capsys.readouterr().err
+        assert "CliError" in err and "vocabulary that differs from" in err
+        assert str(second / "vocab.txt") in err
+        assert not (tmp_path / "run2" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("key", ["learning_rate", "rms_epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_fails_before_any_data_file(self, tmp_path, capsys, key, value):
+        data_dir = make_data(tmp_path)
+        cfg = write_cfg(tmp_path, "embed_dim = 8\nhidden_dim = 8\nmax_steps = 8\n"
+                                  f"epochs = 1\nprobe_size = 6\n{key} = {value}\n")
+        out = tmp_path / "run"
+        assert run(["train", "--model", "lstm", "--data", data_dir,
+                    "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and key in err and "> 0 and finite" in err
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
 
 # Every model field a config file can set, each to a value other than its
 # default; hidden_dim 64 matches the synthetic spatial channels, as

@@ -291,7 +291,6 @@ class TestStepping:
         assert model.params.keys() == params.keys()
         for name, t in model.params.items():
             assert t is params[name]
-            assert t.grad is None
             assert np.array_equal(t.data, before[name])
 
 

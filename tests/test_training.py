@@ -99,41 +99,36 @@ class TestNllLoss:
 class TestRmsProp:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        p.grad = np.zeros(3)
         opt = tr.RmsProp({"p": p})
         before = p.data.copy()
-        opt.step(0.1)
+        opt.step(0.1, {p: np.zeros(3)})
         assert np.array_equal(p.data, before)
 
     def test_hand_computed_single_step(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        p.grad = np.array([1.0])
         opt = tr.RmsProp({"p": p}, alpha=0.99, epsilon=1e-8)
-        opt.step(5e-5)
+        opt.step(5e-5, {p: np.array([1.0])})
         assert opt.accum["p"][0] == pytest.approx(0.01, abs=1e-15)
         assert p.data[0] == pytest.approx(-5e-5 / (0.1 + 1e-8), rel=1e-12)
 
     def test_non_finite_gradient_aborts_with_name(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        p.grad = np.array([np.nan])
         opt = tr.RmsProp({"spiky": p})
         with pytest.raises(tr.NonFiniteGradientError, match="spiky"):
-            opt.step(1e-3)
+            opt.step(1e-3, {p: np.array([np.nan])})
 
     def test_none_gradient_is_skipped(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = tr.RmsProp({"p": p})
-        opt.step(0.1)
+        opt.step(0.1, {})
         assert p.data[0] == 1.0
 
     def test_non_finite_gradient_aborts_before_any_update(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
-        a.grad = np.array([1.0])
-        b.grad = np.array([np.nan])
         opt = tr.RmsProp({"a": a, "b": b})
         with pytest.raises(tr.NonFiniteGradientError, match="'b'"):
-            opt.step(1e-3)
+            opt.step(1e-3, {a: np.array([1.0]), b: np.array([np.nan])})
         assert a.data[0] == 1.0
         assert opt.accum["a"][0] == 0.0
         assert opt.steps == 0

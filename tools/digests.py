@@ -1,7 +1,7 @@
 """Named sha256 digests of captionkit's outputs, to check that a change
 leaves them byte-identical.
 
-    python3 tools/digests.py <tree>/src > a.json
+    python3 tools/digests.py [--tiny] <tree>/src > a.json
     python3 tools/digests.py --compare a.json b.json
 
 The first form imports captionkit from the given source directory and prints
@@ -17,6 +17,10 @@ a JSON object of digests, computed with one BLAS thread at fixed seeds:
   ``cnn`` and ``lstm`` with a ``--resume``; ``caption`` and ``eval`` at beam 3
   of all three; ``analyze`` of the ``cnn-attn`` and ``lstm`` pair. The chain
   runs in a temporary directory, whose path is replaced by ``<root>``.
+
+``--tiny`` runs the same steps, with the same digest names, on fewer scenes,
+epochs and held-out images, in about a second; the tests run it twice under
+different hash seeds to check that the outputs do not depend on the process.
 
 Digests depend on the BLAS build, so two trees are compared on one machine
 and no digest is kept as an expected value. The second form names every
@@ -38,16 +42,31 @@ import tempfile
 from pathlib import Path
 
 WIDTH = 64
-HELD_OUT = 12
-# The CLI chain's configs; attention needs hidden_dim equal to the channels
-# that ``synth --channels`` writes.
 CLI_WIDTH = 16
-CLI_RECIPE = (f"embed_dim = {CLI_WIDTH}\nhidden_dim = {CLI_WIDTH}\nlearning_rate = 1e-3\n"
-              "epochs = 2\nbatch_size = 16\nseed = 3\nprobe_size = 16\n")
-CLI_CONV = f"bottleneck_dim = {CLI_WIDTH}\nnum_layers = 2\nkernel_widths = 2,3\ndropout_p = 0.1\n"
-CLI_CONFIGS = {"attn.cfg": CLI_RECIPE + CLI_CONV + "weight_norm = true\nresidual = true\n",
-               "cnn.cfg": CLI_RECIPE + CLI_CONV,
-               "lstm.cfg": CLI_RECIPE}
+
+
+@dataclasses.dataclass(frozen=True)
+class Sizes:
+    scenes: int  # of the library corpus; the first four fifths train
+    epochs: int
+    held_out: int  # images decoded per model
+    cli_scenes: int
+    cli_epochs: int
+
+
+FULL = Sizes(scenes=100, epochs=3, held_out=12, cli_scenes=60, cli_epochs=2)
+TINY = Sizes(scenes=20, epochs=1, held_out=2, cli_scenes=16, cli_epochs=1)
+
+
+def cli_configs(epochs: int) -> dict[str, str]:
+    """The CLI chain's configs; attention needs hidden_dim equal to the
+    channels that ``synth --channels`` writes."""
+    recipe = (f"embed_dim = {CLI_WIDTH}\nhidden_dim = {CLI_WIDTH}\nlearning_rate = 1e-3\n"
+              f"epochs = {epochs}\nbatch_size = 16\nseed = 3\nprobe_size = 16\n")
+    conv = f"bottleneck_dim = {CLI_WIDTH}\nnum_layers = 2\nkernel_widths = 2,3\ndropout_p = 0.1\n"
+    return {"attn.cfg": recipe + conv + "weight_norm = true\nresidual = true\n",
+            "cnn.cfg": recipe + conv,
+            "lstm.cfg": recipe}
 
 
 def _sha(data: bytes) -> str:
@@ -79,28 +98,30 @@ def _model(kind: str, vocab_size: int, features, max_steps: int):
         spatial_channels=features.spatial.shape[2]), 2)
 
 
-def library_digests(work: Path) -> dict[str, str]:
+def library_digests(work: Path, sizes: Sizes) -> dict[str, str]:
     data = importlib.import_module("captionkit.data")
     training = importlib.import_module("captionkit.training")
     decoding = importlib.import_module("captionkit.decoding")
     analysis = importlib.import_module("captionkit.analysis")
-    records, vocab = data.synth_corpus(100, seed=5, spatial_channels=WIDTH)
+    records, vocab = data.synth_corpus(sizes.scenes, seed=5, spatial_channels=WIDTH)
+    cut = sizes.scenes * 4 // 5
     digests = {}
     for kind in ("cnn", "lstm"):
         for max_steps in (8, 15):
             name = f"{kind}/max_steps={max_steps}"
             examples = training.prepare_examples(records, vocab, max_steps)
-            train, val = examples[:80], examples[80:]
+            train, val = examples[:cut], examples[cut:]
             model = _model(kind, vocab.size, records[0].features, max_steps)
             run_dir = work / name
             result = training.train(
                 model, train, val,
-                training.TrainConfig(learning_rate=1e-3, epochs=3, seed=11, probe_size=64),
+                training.TrainConfig(learning_rate=1e-3, epochs=sizes.epochs, seed=11,
+                                     probe_size=64),
                 out_dir=str(run_dir), vocab=vocab)
             for path in ("metrics.csv", "checkpoints/best.ckpt", "checkpoints/last.ckpt"):
                 digests[f"{name}/{Path(path).name}"] = _sha((run_dir / path).read_bytes())
             digests[f"{name}/history"] = _sha(_lines(map(_hex_fields, result.history)))
-            images = [ex.features for ex in val[:HELD_OUT]]
+            images = [ex.features for ex in val[:sizes.held_out]]
             for width in (1, 3):
                 digests[f"{name}/beam{width}"] = _sha(_lines(
                     f"{seq.target_ids.tolist()} {logprob.hex()}" for features in images
@@ -108,18 +129,19 @@ def library_digests(work: Path) -> dict[str, str]:
             digests[f"{name}/sample"] = _sha(_lines(
                 str(decoding.sample_decode(model, features, seed=seed).target_ids.tolist())
                 for features in images for seed in range(10)))
-            probe = analysis.grad_norm_probe(model, examples[:50], batch_size=7)
+            probe = analysis.grad_norm_probe(model, examples[:sizes.scenes // 2], batch_size=7)
             digests[f"{name}/probe"] = _sha(_hex_fields(probe).encode("utf-8"))
     return digests
 
 
-def cli_digests(root: Path) -> dict[str, str]:
+def cli_digests(root: Path, sizes: Sizes) -> dict[str, str]:
     cli = importlib.import_module("captionkit.cli")
     root.mkdir(parents=True)
-    for name, text in CLI_CONFIGS.items():
+    for name, text in cli_configs(sizes.cli_epochs).items():
         (root / name).write_text(text)
     steps = [
-        ["synth", "--scenes", "60", "--seed", "9", "--channels", str(CLI_WIDTH), "--out", "data"],
+        ["synth", "--scenes", str(sizes.cli_scenes), "--seed", "9", "--channels", str(CLI_WIDTH),
+         "--out", "data"],
         ["train", "--model", "cnn-attn", "--data", "data", "--config", "attn.cfg", "--out", "attn"],
         ["train", "--model", "cnn", "--data", "data", "--config", "cnn.cfg", "--out", "cnn"],
         ["train", "--model", "lstm", "--data", "data", "--config", "lstm.cfg", "--out", "lstm"],
@@ -150,13 +172,13 @@ def cli_digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def tree_digests(src: str) -> dict[str, str]:
+def tree_digests(src: str, sizes: Sizes) -> dict[str, str]:
     sys.path.insert(0, os.path.abspath(src))
     package = importlib.import_module("captionkit")
     print(f"captionkit from {os.path.dirname(package.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        return library_digests(work / "lib") | cli_digests(work / "chain")
+        return library_digests(work / "lib", sizes) | cli_digests(work / "chain", sizes)
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -174,6 +196,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", help="a tree's src directory")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two digest files")
+    parser.add_argument("--tiny", action="store_true",
+                        help="fewer scenes, epochs and held-out images; same digest names")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
@@ -183,7 +207,8 @@ def main(argv=None) -> int:
     # can depend on the thread count.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    print(json.dumps(tree_digests(args.src), indent=2, sort_keys=True))
+    print(json.dumps(tree_digests(args.src, TINY if args.tiny else FULL), indent=2,
+                     sort_keys=True))
     return 0
 
 
