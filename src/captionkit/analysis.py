@@ -263,10 +263,12 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
     that example's own (per-example gradients as in Goodfellow, arXiv
     1510.01799), made by the same products and sums, over the same
     positions, as that example's own backward would be, so the result is
-    bit-identical at any ``batch_size`` by construction. The caller's model
-    and its parameters are never touched. Non-finite gradients set ``finite``
-    to False rather than raise, so a diverging run still produces a flagged
-    record. No examples raise ``EmptyCorpusError``.
+    bit-identical at any ``batch_size`` by construction. The probe holds one
+    chunk at a time: a chunk's probabilities and gradients are dropped once
+    its totals and norms are added, before the next chunk's pass. The
+    caller's model and its parameters are never touched. Non-finite
+    gradients set ``finite`` to False rather than raise, so a diverging run
+    still produces a flagged record. No examples raise ``EmptyCorpusError``.
     """
     if not examples:
         raise EmptyCorpusError("no examples to probe")
@@ -284,6 +286,7 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
         for b in range(len(chunk)):
             norm_in += float(np.linalg.norm(g_in[b]))
             norm_out += float(np.linalg.norm(g_out[b]))
+        del probs, g_in, g_out  # the chunk's arrays, before the next chunk's pass
     n = len(examples)
     return ProbeResult(totals.loss, totals.accuracy, totals.entropy,
                        norm_in / n, norm_out / n, finite)

@@ -88,7 +88,7 @@ def save_checkpoint(path, model, *, seed: int, epoch: int, vocab: Vocabulary | N
         ],
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = (t.data.astype("<f8").tobytes() for t in model.parameters().values())
+    blobs = (t.data.astype("<f8", copy=False).tobytes() for t in model.parameters().values())
     write_bytes(path, chain((MAGIC, struct.pack("<II", VERSION, len(raw)), raw), blobs))
 
 
@@ -139,10 +139,11 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
     pos = 12 + header_len
     params: dict[str, Tensor] = {}
     for name, shape in entries:
-        end = pos + 8 * int(np.prod(shape))
+        count = int(np.prod(shape))
+        end = pos + 8 * count
         if end > len(blob):
             raise CheckpointError(f"{path}: truncated at offset {len(blob)}, inside parameter {name}")
-        arr = np.frombuffer(blob[pos:end], dtype="<f8").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(blob, "<f8", count=count, offset=pos).astype(np.float64).reshape(shape)
         params[name] = Tensor(arr, requires_grad=True)
         pos = end
     if pos != len(blob):

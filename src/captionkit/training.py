@@ -79,10 +79,18 @@ class RmsProp:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
         for name, t, g in live:
+            # The products and sums of the formula above, in its order, into
+            # two scratch arrays per parameter.
             v = self.accum[name]
             v *= self.alpha
-            v += (1.0 - self.alpha) * g * g
-            t.data -= lr * g / (np.sqrt(v) + self.epsilon)
+            step = np.multiply(1.0 - self.alpha, g)
+            step *= g
+            v += step
+            denom = np.sqrt(v)
+            denom += self.epsilon
+            np.multiply(lr, g, out=step)
+            step /= denom
+            t.data -= step
         self.steps += 1
 
 
@@ -133,6 +141,10 @@ def train(
     a full-length forward of that example alone would draw. The per-epoch
     probe (``analysis.grad_norm_probe``) runs in chunks of at most
     ``batch_size`` examples, so its graphs are no larger than an update's.
+    Training holds one update graph at a time: nothing of a minibatch's
+    forward, loss, backward or step stays referenced once the step returns,
+    so the next forward, the probes and the checkpoint writes run without
+    it. A resumed run keeps only the val loss of the ``best.ckpt`` it loads.
 
     Fully deterministic for a given seed: each epoch's shuffle and dropout
     noise derive from (seed, epoch), so a resumed run replays the same epoch
@@ -177,6 +189,7 @@ def train(
                 result.best_epoch, result.best_path = best.epoch, best_path
                 result.best_val_loss = analysis.grad_norm_probe(
                     best.model, val_probe, config.batch_size).loss
+            del best  # a second copy of every parameter; only its val loss is kept
 
     for epoch in range(start_epoch, start_epoch + config.epochs):
         lr = lr_for_epoch(config, epoch)
@@ -186,10 +199,11 @@ def train(
             batch = [train_examples[idx] for idx in order[lo:lo + config.batch_size]]
             seeds = [int(rng.integers(2**31)) for _ in batch]
             seqs = [ex.seq for ex in batch]
-            probs, _ = model.forward(teacher_forced_ids(seqs), [ex.features for ex in batch],
-                                     seed=seeds)
+            probs = model.forward(teacher_forced_ids(seqs), [ex.features for ex in batch],
+                                  seed=seeds)[0]
             loss = nll_loss(probs, seqs, config.loss_reduction, result.loss_stats)
             optimizer.step(lr, ad.backward(loss))
+            del probs, loss  # the minibatch's graph, which nothing else holds
 
         records = [analysis.grad_norm_probe(model, train_probe, config.batch_size)
                    .record(epoch, "train")]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -379,6 +381,52 @@ class TestMeasurementPass:
         results = [analysis.grad_norm_probe(model, examples, size)
                    for size in (1, 2, 3, len(examples))]
         assert all(result == results[0] for result in results[1:])
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_a_chunk_s_arrays_are_freed_before_the_next_chunk(self, kind, monkeypatch):
+        # No gc.collect: arrays that only the cycle collector could free fail too.
+        model, examples = _probe_setup(kind)
+        returned = []
+        freed = []
+        probe_chunk = analysis._probe_chunk
+
+        def chunk(*args):
+            freed.append(all(ref() is None for ref in returned))
+            out = probe_chunk(*args)
+            returned.extend(weakref.ref(arr) for arr in out)
+            return out
+
+        monkeypatch.setattr(analysis, "_probe_chunk", chunk)
+        analysis.grad_norm_probe(model, examples, batch_size=2)
+        assert freed == [True] * 3 and len(returned) == 3 * 3
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_two_chunks_peak_no_higher_than_one(self, kind):
+        # At vocabulary 2,000 a chunk's per-example [B, V, D] gradients and
+        # probabilities dominate, so a probe that kept one chunk's arrays
+        # through the next would peak near twice as high.
+        records, vocab = synth_corpus(32, seed=3, grid_size=2, spatial_channels=16)
+        if kind == "lstm":
+            model = lm.init_params(lm.LstmConfig(2000, embed_dim=16, hidden_dim=16,
+                                                 max_steps=8, feature_dim=96), seed=2)
+        else:
+            model = cm.init_params(cm.ModelConfig(
+                vocab_size=2000, embed_dim=16, hidden_dim=16, num_layers=2,
+                kernel_widths=(2, 3), bottleneck_dim=8, max_steps=8, feature_dim=96,
+                attention=True, grid_size=2, spatial_channels=16), seed=2)
+        examples = prepare_examples(records, vocab, 8)
+
+        def peak(probe_examples):
+            tracemalloc.start()
+            try:
+                analysis.grad_norm_probe(model, probe_examples, batch_size=32)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(examples)
+        two = peak(examples + examples)  # the same positions as the one chunk
+        assert two <= 1.1 * one, (one, two)
 
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_nan_reached_by_one_example_is_flagged(self, kind):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestRmsProp:
         opt.step(5e-5, {p: np.array([1.0])})
         assert opt.accum["p"][0] == pytest.approx(0.01, abs=1e-15)
         assert p.data[0] == pytest.approx(-5e-5 / (0.1 + 1e-8), rel=1e-12)
+
+    def test_steps_equal_the_formula_written_out(self):
+        rng = np.random.default_rng(0)
+        p = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
+        opt = tr.RmsProp({"p": p}, alpha=0.9, epsilon=1e-6)
+        theta, v = p.data.copy(), np.zeros_like(p.data)
+        for lr in (0.3, 0.01, 2.0):
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 4, size=p.shape)
+            opt.step(lr, {p: g})
+            v = 0.9 * v + (1.0 - 0.9) * g * g
+            theta = theta - lr * g / (np.sqrt(v) + 1e-6)
+            assert np.array_equal(opt.accum["p"], v) and np.array_equal(p.data, theta)
 
     def test_non_finite_gradient_aborts_with_name(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
@@ -246,6 +259,75 @@ class TestTrainLoop:
         assert (resumed.best_epoch, resumed.best_path) == (first.best_epoch, first.best_path)
         assert resumed.best_val_loss == first.best_val_loss
 
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_no_update_graph_outlives_its_step(self, tmp_path, monkeypatch, kind):
+        # The probabilities of every earlier update forward are freed at each
+        # later forward, probe and checkpoint write. No gc.collect: a graph
+        # that only the cycle collector could free fails too.
+        model, examples, vocab = synth_setup(attention=True, hidden_dim=64, spatial_channels=64,
+                                             grid_size=4, weight_norm=True, residual=True,
+                                             dropout_p=0.2)
+        if kind == "lstm":
+            model = lm.init_params(lm.LstmConfig(vocab.size, embed_dim=8, hidden_dim=8,
+                                                 max_steps=8, feature_dim=96), seed=2)
+        freed_at = []  # per checkpoint: (where, every earlier forward's probs freed)
+        forwarded = []
+
+        def check(where):
+            freed_at.append((where, all(ref() is None for ref in forwarded)))
+
+        def forward(*args, **kwargs):
+            check("forward")
+            out = type(model).forward(model, *args, **kwargs)
+            forwarded.append(weakref.ref(out[0].data))
+            return out
+
+        def probe(*args, **kwargs):
+            check("probe")
+            return probe_fn(*args, **kwargs)
+
+        def save(*args, **kwargs):
+            check("save")
+            save_fn(*args, **kwargs)
+
+        probe_fn, save_fn = tr.analysis.grad_norm_probe, tr.save_checkpoint
+        model.forward = forward
+        monkeypatch.setattr(tr.analysis, "grad_norm_probe", probe)
+        monkeypatch.setattr(tr, "save_checkpoint", save)
+        tr.train(model, examples[:8], examples[8:],
+                 tr.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3, probe_size=4),
+                 out_dir=str(tmp_path), vocab=vocab)
+        assert len(forwarded) == 2 * 3
+        assert [where for where, _ in freed_at].count("probe") == 2 * 2
+        assert [where for where, _ in freed_at].count("save") >= 2
+        assert all(freed for _, freed in freed_at), freed_at
+
+    def test_resume_frees_the_loaded_best_model(self, tmp_path, monkeypatch):
+        model, examples, vocab = synth_setup()
+        cfg = tr.TrainConfig(learning_rate=1e-3, epochs=1, seed=4, probe_size=4)
+        tr.train(model, examples[:8], examples[8:], cfg, out_dir=str(tmp_path), vocab=vocab)
+        resumed = load_checkpoint(tmp_path / "checkpoints" / "last.ckpt").model
+        loaded = []
+
+        def loading(*args, **kwargs):
+            ckpt = load_checkpoint(*args, **kwargs)
+            loaded.extend(weakref.ref(t.data) for t in ckpt.model.params.values())
+            return ckpt
+
+        freed = []
+
+        def forward(*args, **kwargs):
+            if not freed:
+                freed.append([ref() is None for ref in loaded])
+            return type(resumed).forward(resumed, *args, **kwargs)
+
+        resumed.forward = forward
+        monkeypatch.setattr(tr, "load_checkpoint", loading)
+        result = tr.train(resumed, examples[:8], examples[8:], cfg, out_dir=str(tmp_path),
+                          vocab=vocab, start_epoch=1)
+        assert result.best_val_loss < float("inf")
+        assert loaded and freed == [[True] * len(loaded)]
+
     def test_resume_continues_staircase(self):
         model, examples, _ = synth_setup()
         cfg = tr.TrainConfig(epochs=1, seed=0, probe_size=4)  # default lr 5e-5, decay 0.1/15
@@ -297,6 +379,19 @@ class TestCheckpointRoundTrip:
         a = model.forward_probs(ex.seq.input_ids, ex.features)
         b = loaded.model.forward_probs(ex.seq.input_ids, ex.features)
         assert np.array_equal(a, b)
+
+    def test_loaded_arrays_are_bit_identical_writable_copies(self, tmp_path):
+        model, _, vocab = synth_setup(weight_norm=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, seed=3, epoch=7, vocab=vocab)
+        loaded = load_checkpoint(path).model
+        for name, t in model.parameters().items():
+            arr = loaded.params[name].data
+            assert arr.dtype == np.float64 and arr.flags.writeable, name
+            assert arr.tobytes() == t.data.tobytes(), name
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, loaded, seed=3, epoch=7, vocab=vocab)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_lstm_kind_tag(self, tmp_path):
         model = lm.init_params(lm.LstmConfig(vocab_size=9, embed_dim=4, hidden_dim=5,
