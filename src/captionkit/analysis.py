@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,21 +230,10 @@ def word_accuracy(model, examples) -> float:
     return _forward_totals(model, examples).accuracy
 
 
-@dataclass
-class ProbeResult:
-    loss: float
-    accuracy: float
-    entropy: float
-    grad_norm_in: float
-    grad_norm_out: float
-    finite: bool
-
-    def record(self, epoch: int, split: str) -> AnalysisRecord:
-        return AnalysisRecord(epoch, split, **asdict(self))
-
-
-def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResult:
-    """The single measurement pass over the probe examples.
+def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE, *,
+                    epoch: int = -1, split: str = "") -> AnalysisRecord:
+    """The single measurement pass over the probe examples, as the
+    AnalysisRecord it fills; ``epoch`` and ``split`` only label it.
 
     Each chunk of at most ``batch_size`` examples gets one teacher-forced
     batched forward with dropout off and one backward of the sum of its
@@ -288,8 +277,8 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE) -> ProbeResul
             norm_out += float(np.linalg.norm(g_out[b]))
         del probs, g_in, g_out  # the chunk's arrays, before the next chunk's pass
     n = len(examples)
-    return ProbeResult(totals.loss, totals.accuracy, totals.entropy,
-                       norm_in / n, norm_out / n, finite)
+    return AnalysisRecord(epoch, split, totals.loss, totals.accuracy, totals.entropy,
+                          norm_in / n, norm_out / n, finite)
 
 
 def _probe_chunk(model, chunk, ids):

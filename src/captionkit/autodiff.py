@@ -42,7 +42,6 @@ __all__ = [
     "tile_rows",
     "sum_all",
     "pick",
-    "as_generator",
     "view",
 ]
 
@@ -149,13 +148,6 @@ def view(params: dict[str, Tensor], tracked=(), batch: int = 1) -> dict[str, Ten
     return {name: Tensor(np.broadcast_to(p.data, (batch,) + p.shape), requires_grad=True)
             if name in tracked else Tensor(p.data)
             for name, p in params.items()}
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept an integer seed or an existing Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.PCG64(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +398,7 @@ def dropout(x: Tensor, p: float, rng, positions: int | None = None) -> Tensor:
         raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
     rows = x.data.shape[1]
     shape = x.data.shape[1:] if positions is None else (max(rows, positions),) + x.data.shape[2:]
-    draws = np.stack([as_generator(r).random(shape)[:rows] for r in rng])
+    draws = np.stack([np.random.default_rng(r).random(shape)[:rows] for r in rng])
     factor = (draws >= p) / (1.0 - p)
 
     def bw(g, emit):

@@ -36,6 +36,7 @@ from captionkit.data import (
     decode,
     read_caption_file,
     read_features,
+    read_lines,
     synth_corpus,
     write_bytes,
     write_caption_file,
@@ -59,11 +60,10 @@ class Manifest:
         self.directory = directory
         self.path = os.path.join(directory, "manifest.json")
         if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                try:
-                    existing = json.load(fh)
-                except ValueError:  # not JSON, or not UTF-8
-                    existing = None
+            try:
+                existing = json.load(read_lines(self.path))
+            except ValueError:  # not UTF-8 (a FormatError), or not JSON
+                existing = None
             if not isinstance(existing, dict):
                 raise CliError(f"{directory} holds a manifest.json that is not a JSON object; "
                                "use another --out")
@@ -127,15 +127,14 @@ def _resolve_out(value, subcommand: str) -> str:
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -285,6 +284,8 @@ def cmd_train(args) -> int:
         splits, (f_dim, g_dim, c_dim) = _load_dataset(args.data)
         vocab = Vocabulary.from_file(_data_file(args.data, "vocab.txt"))
         init_seed = _pop(values, "init_seed", int) if "init_seed" in values else None
+        if init_seed is not None and init_seed < 0:
+            raise CliError(f"config key init_seed must be >= 0, got {init_seed}")
         train_config = training.TrainConfig(**config_fields(training.TrainConfig, values))
         manifest.data["seed"] = train_config.seed
         model_config = build_model_config(values, args.model, vocab.size, f_dim, g_dim, c_dim)
@@ -399,7 +400,7 @@ def cmd_analyze(args) -> int:
             records[ckpt.kind] = [
                 analysis.grad_norm_probe(model, training.prepare_examples(
                     splits[split][:args.limit], ckpt.vocab, model.config.max_steps,
-                )).record(ckpt.epoch, split)
+                ), epoch=ckpt.epoch, split=split)
                 for split in ("train", "val")
             ]
             beams = [[seq for seq, _ in decoding.beam_search(model, rec.features,

@@ -190,7 +190,7 @@ class CaptionModel:
         elif np.ndim(seed) != 1 or len(seed) != ids.shape[0]:
             raise ValueError(f"a batch of {ids.shape[0]} needs one dropout seed per example")
         else:
-            rng = [ad.as_generator(s) for s in seed]
+            rng = [np.random.default_rng(s) for s in seed]
         spatial = self._spatial(features)
         return self._layers(ids, self._kernels(), self.embed_image(features, rng), spatial, rng)
 

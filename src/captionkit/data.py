@@ -10,7 +10,9 @@ File formats owned by this module:
   (all little-endian), then per image: u16 id length, id bytes, F float32
   global values, G*G*C float32 spatial values in row-major cell order. A
   header with G == 0 or C == 0 means no spatial grids are stored. Values are
-  float32 on disk and widened to float64 in memory.
+  float32 on disk and widened to float64 in memory. An image id holds no
+  tab, ``\n`` or ``\r``: the text files and the ``caption`` output write it
+  before a tab on a line of its own.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ UNK_ID = 2
 RESERVED = (START_TOKEN, END_TOKEN, UNK_TOKEN)
 
 FEATURE_MAGIC = b"CCF1"
+_ID_BREAKS = ("\t", "\n", "\r")  # characters no image id holds
 
 
 class EmptyCorpusError(ValueError):
@@ -75,9 +78,10 @@ def write_lines(path, lines):
     return write_bytes(path, ((line + "\n").encode("utf-8") for line in lines))
 
 
-def _text_lines(path) -> io.StringIO:
-    """The lines of a UTF-8 text file, split as ``open(path)`` splits them;
-    an undecodable byte raises FormatError with its offset."""
+def read_lines(path) -> io.StringIO:
+    """The lines of a UTF-8 text file, split as ``open(path)`` splits them,
+    the counterpart of ``write_lines``; an undecodable byte raises
+    FormatError with its offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -127,7 +131,7 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for line in _text_lines(path) if line.rstrip("\n")]
+        tokens = [line.rstrip("\n") for line in read_lines(path) if line.rstrip("\n")]
         try:
             return cls(tokens)
         except FormatError as exc:
@@ -296,6 +300,8 @@ def write_features(features: dict[str, ImageFeatures], path) -> None:
         has_spatial = feat.spatial is not None
         if has_spatial != (g_dim > 0) or (has_spatial and feat.spatial.shape != (g_dim, g_dim, c_dim)):
             raise ValueError(f"{image_id}: spatial shape inconsistent with header")
+        if any(c in image_id for c in _ID_BREAKS):
+            raise ValueError(f"{image_id!r}: image id holds a tab or line break")
         raw = image_id.encode("utf-8")
         chunks += [struct.pack("<H", len(raw)), raw, feat.global_vec.astype("<f4").tobytes()]
         if has_spatial:
@@ -328,6 +334,9 @@ def read_features(path) -> dict[str, ImageFeatures]:
                 image_id = need(pos, id_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
+            if any(c in image_id for c in _ID_BREAKS):
+                raise FormatError(f"{path}: image id {image_id!r} at offset {pos} holds a tab "
+                                  "or line break")
             pos += id_len
             global_vec = np.frombuffer(need(pos, 4 * f_dim), dtype="<f4").astype(np.float64)
             pos += 4 * f_dim
@@ -360,7 +369,7 @@ def write_caption_file(path, items):
 
 def read_caption_file(path) -> list[tuple[str, list[str]]]:
     out = []
-    for lineno, line in enumerate(_text_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         line = line.rstrip("\n")
         if not line:
             continue

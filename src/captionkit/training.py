@@ -18,7 +18,7 @@ from captionkit.analysis import LossStats, nll_loss, teacher_forced_ids
 from captionkit.autodiff import Tensor
 from captionkit.checkpoint import load_checkpoint, save_checkpoint
 from captionkit.data import (EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode,
-                             write_lines)
+                             read_lines, write_lines)
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"loss_reduction must be 'mean' or 'sum', got {self.loss_reduction}")
         if self.eval_cadence < 1 or self.probe_size < 1:
             raise ValueError("eval_cadence and probe_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_for_epoch(config: TrainConfig, epoch: int) -> float:
@@ -177,8 +179,7 @@ def train(
         os.makedirs(ckpt_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.csv")
         if start_epoch > 0 and os.path.exists(metrics_path):
-            with open(metrics_path, encoding="utf-8") as fh:
-                rows = fh.read().splitlines()[1:]
+            rows = read_lines(metrics_path).read().splitlines()[1:]
             metrics += [row for row in rows if int(row.split(",", 1)[0]) < start_epoch]
         best_path = os.path.join(ckpt_dir, "best.ckpt")
         if start_epoch > 0 and val_probe and os.path.exists(best_path):
@@ -205,15 +206,15 @@ def train(
             optimizer.step(lr, ad.backward(loss))
             del probs, loss  # the minibatch's graph, which nothing else holds
 
-        records = [analysis.grad_norm_probe(model, train_probe, config.batch_size)
-                   .record(epoch, "train")]
+        records = [analysis.grad_norm_probe(model, train_probe, config.batch_size,
+                                            epoch=epoch, split="train")]
         evaluate = val_examples and (
             (epoch + 1) % config.eval_cadence == 0
             or epoch == start_epoch + config.epochs - 1
         )
         if evaluate:
-            records.append(analysis.grad_norm_probe(model, val_probe, config.batch_size)
-                           .record(epoch, "val"))
+            records.append(analysis.grad_norm_probe(model, val_probe, config.batch_size,
+                                                    epoch=epoch, split="val"))
         result.history.extend(records)
         improved = evaluate and records[-1].loss < result.best_val_loss
         if improved:

@@ -442,7 +442,7 @@ class TestMeasurementPass:
     def test_record_carries_every_field(self):
         model, examples = _probe_setup("lstm")
         probe = analysis.grad_norm_probe(model, examples)
-        record = probe.record(5, "val")
+        record = analysis.grad_norm_probe(model, examples, epoch=5, split="val")
         assert (record.epoch, record.split) == (5, "val")
         assert (record.loss, record.accuracy, record.entropy) == (
             probe.loss, probe.accuracy, probe.entropy)

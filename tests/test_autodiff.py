@@ -298,10 +298,10 @@ class TestElementwiseSuite:
         for positions in (1, 4, 6):
             assert np.array_equal(ad.dropout(t(x[None]), 0.4, [21], positions).data[0], full)
         for rows in range(1, 7):
-            rng = ad.as_generator(21)
+            rng = np.random.default_rng(21)
             cut = ad.dropout(t(x[None, :rows]), 0.4, [rng], positions=6).data[0]
             assert np.array_equal(cut, full[:rows]), rows
-            reference = ad.as_generator(21)
+            reference = np.random.default_rng(21)
             reference.random((6, 5))
             assert rng.random() == reference.random(), rows
 

@@ -228,6 +228,30 @@ class TestTrain:
         assert sorted(os.listdir(out)) == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
+    @pytest.mark.parametrize("key, fragment", [
+        ("seed", "ValueError: seed must be >= 0, got -1"),
+        ("init_seed", "CliError: config key init_seed must be >= 0, got -1"),
+    ], ids=["seed", "init_seed"])
+    def test_a_negative_seed_names_its_key(self, tmp_path, capsys, key, fragment):
+        data_dir = make_data(tmp_path)
+        out = tmp_path / "run"
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", write_cfg(tmp_path, TINY_CNN_CFG + f"{key} = -1\n"),
+                    "--out", out]) == 1
+        assert fragment in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    def test_a_config_that_is_not_utf8_is_a_format_error(self, tmp_path, capsys):
+        data_dir = make_data(tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_bytes(b"embed_dim = 8\n# caf\xe9\n")
+        out = tmp_path / "run"
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", cfg, "--out", out]) == 1
+        assert f"FormatError: {cfg}: invalid UTF-8 at byte offset 19" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Every model field a config file can set, each to a value other than its
 # default; hidden_dim 64 matches the synthetic spatial channels, as

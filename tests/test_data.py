@@ -160,6 +160,23 @@ class TestFeatureFile:
         assert [p.name for p in tmp_path.iterdir()] == ["f.ccf"]
         assert list(data.read_features(path)) == ["img0"]
 
+    @pytest.mark.parametrize("mark", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    def test_an_id_with_a_tab_or_line_break_is_refused_before_writing(self, tmp_path, mark):
+        features = self._features()
+        with pytest.raises(ValueError, match="tab or line break"):
+            data.write_features(features | {f"img{mark}7": features["img0"]}, tmp_path / "f.ccf")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mark", [b"\t", b"\n", b"\r"], ids=["tab", "newline", "return"])
+    def test_an_id_with_a_tab_or_line_break_is_a_format_error(self, tmp_path, mark):
+        path = tmp_path / "f.ccf"
+        data.write_features(self._features(), path)
+        blob = path.read_bytes()
+        offset = blob.index(b"img1")  # the second id, the same length with its 1 replaced
+        path.write_bytes(blob[:offset + 3] + mark + blob[offset + 4:])
+        with pytest.raises(data.FormatError, match=f"at offset {offset} holds a tab or line break"):
+            data.read_features(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.ccf"
         path.write_bytes(b"XXXX" + b"\x00" * 32)

@@ -90,7 +90,7 @@ class TestGreedy:
         def no_generator(rng):
             raise AssertionError("an evaluation forward built a generator")
 
-        monkeypatch.setattr(ad, "as_generator", no_generator)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         model.forward([[START_ID, 2, 3]], [feats])
         model.forward(np.array([[START_ID, 2], [START_ID, 4]]), [feats, feats])
         assert np.array_equal(dec.greedy_decode(model, feats).target_ids, want.target_ids)

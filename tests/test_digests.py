@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,30 @@ def test_tiny_digests_agree_across_hash_seeds(tmp_path):
     assert differ.returncode == 1
     assert "differs: cnn/max_steps=8/beam3" in differ.stdout
     assert f"{len(names) - 1} of {len(names)} digests equal" in differ.stdout
+
+
+def test_a_one_ulp_change_in_a_checkpoint_is_named(tmp_path):
+    # A copy of the source whose save_checkpoint writes one parameter
+    # element one ulp up: every checkpoint digest must differ.
+    planted = tmp_path / "src"
+    shutil.copytree(ROOT / "src", planted, ignore=shutil.ignore_patterns("__pycache__"))
+    module = planted / "captionkit" / "checkpoint.py"
+    line = ('    blobs = (t.data.astype("<f8", copy=False).tobytes() '
+            'for t in model.parameters().values())\n')
+    source = module.read_text()
+    assert source.count(line) == 1
+    module.write_text(source.replace(line, (
+        '    arrays = [t.data.astype("<f8") for t in model.parameters().values()]\n'
+        '    arrays[0].flat[0] = np.nextafter(arrays[0].flat[0], np.inf)\n'
+        '    blobs = (a.tobytes() for a in arrays)\n')))
+    paths = []
+    for name, tree in (("original", ROOT / "src"), ("planted", planted)):
+        made = digests("--tiny", tree)
+        assert made.returncode == 0, made.stderr
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(made.stdout)
+    differ = digests("--compare", *paths)
+    assert differ.returncode == 1
+    ckpts = [name for name in json.loads(paths[0].read_text()) if name.endswith(".ckpt")]
+    assert "cnn/max_steps=8/best.ckpt" in ckpts and "cli/lstm/checkpoints/last.ckpt" in ckpts
+    assert [name for name in ckpts if f"differs: {name}\n" not in differ.stdout] == []

@@ -12,7 +12,8 @@ a JSON object of digests, computed with one BLAS thread at fixed seeds:
   ``metrics.csv``, ``best.ckpt`` and ``last.ckpt`` of a 3-epoch training
   run and its history; beams of widths 1 and 3 over 12 held-out images, as
   token ids and ``float.hex`` log-probabilities; ``sample_decode`` at seeds
-  0-9 on the same images; and ``grad_norm_probe`` at chunk size 7;
+  0-9 on the same images; and the six values of ``grad_norm_probe`` at
+  chunk size 7, without its epoch and split labels;
 * every file of a CLI chain: ``synth``; ``train`` of ``cnn-attn``, plain
   ``cnn`` and ``lstm`` with a ``--resume``; ``caption`` and ``eval`` at beam 3
   of all three; ``analyze`` of the ``cnn-attn`` and ``lstm`` pair. The chain
@@ -43,6 +44,8 @@ from pathlib import Path
 
 WIDTH = 64
 CLI_WIDTH = 16
+# What grad_norm_probe measures, the fields its result has in every tree.
+PROBE_VALUES = ("loss", "accuracy", "entropy", "grad_norm_in", "grad_norm_out", "finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,10 +80,12 @@ def _lines(lines) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _hex_fields(record) -> str:
-    """A dataclass's fields with every float written exactly."""
+def _hex_fields(record, names=None) -> str:
+    """A dataclass's fields, or those of them in ``names``, with every float
+    written exactly."""
     return json.dumps({k: v.hex() if isinstance(v, float) else v
-                       for k, v in dataclasses.asdict(record).items()}, sort_keys=True)
+                       for k, v in dataclasses.asdict(record).items()
+                       if names is None or k in names}, sort_keys=True)
 
 
 def _model(kind: str, vocab_size: int, features, max_steps: int):
@@ -130,7 +135,7 @@ def library_digests(work: Path, sizes: Sizes) -> dict[str, str]:
                 str(decoding.sample_decode(model, features, seed=seed).target_ids.tolist())
                 for features in images for seed in range(10)))
             probe = analysis.grad_norm_probe(model, examples[:sizes.scenes // 2], batch_size=7)
-            digests[f"{name}/probe"] = _sha(_hex_fields(probe).encode("utf-8"))
+            digests[f"{name}/probe"] = _sha(_hex_fields(probe, PROBE_VALUES).encode("utf-8"))
     return digests
 
 
