@@ -125,20 +125,18 @@ def teacher_forced_ids(seqs) -> np.ndarray:
     return np.stack([seq.input_ids[:rows] for seq in seqs])
 
 
-def nll_loss(probs: Tensor, target, reduction: str = "mean",
-             stats: LossStats | None = None, batch_mean: bool = True) -> Tensor:
-    """Negative log-likelihood of the unpadded target positions.
+def nll_loss(probs: Tensor, target, stats: LossStats | None = None,
+             batch_mean: bool = True) -> Tensor:
+    """Per-token mean negative log-likelihood of the unpadded target positions.
 
-    ``probs`` is [B, T, V] with ``target`` a list of B TokenSeqs. The loss
-    is the mean over the examples of each example's loss, or their sum when
-    ``batch_mean`` is false (each example's gradients are then exactly those
-    of its own loss). Probabilities below 1e-12 (in particular exact zeros)
-    are clamped there, and each such event in an unpadded position bumps
-    ``stats.clamped`` when a stats object is given. ``mean`` divides an
-    example's sum by its number of unpadded positions; ``sum`` does not.
+    ``probs`` is [B, T, V] with ``target`` a list of B TokenSeqs. An
+    example's loss is the mean over its unpadded positions, and the loss is
+    the mean over the examples of theirs, or their sum when ``batch_mean``
+    is false (each example's gradients are then exactly those of its own
+    loss). Probabilities below 1e-12 (in particular exact zeros) are clamped
+    there, and each such event in an unpadded position bumps
+    ``stats.clamped`` when a stats object is given.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     seqs = list(target)
     if probs.data.ndim != 3 or probs.data.shape[0] != len(seqs):
         raise ad.ShapeError(f"probabilities {probs.data.shape} for {len(seqs)} target sequence(s)")
@@ -148,7 +146,7 @@ def nll_loss(probs: Tensor, target, reduction: str = "mean",
         raise ad.ShapeError(f"{probs.data.shape[1]} probability rows for {rows} target positions")
     ids = np.stack([seq.target_ids[:rows] for seq in seqs])
     valid = np.arange(rows) < lengths[:, None]
-    per_example = -1.0 / lengths if reduction == "mean" else np.full(len(seqs), -1.0)
+    per_example = -1.0 / lengths
     if batch_mean:
         per_example = per_example * (1.0 / len(seqs))
     weights = np.where(valid, per_example[:, None], 0.0)

@@ -263,26 +263,28 @@ def glu(a: Tensor) -> Tensor:
     return _node(val * gate, (a,), bw)
 
 
-def lstm_cell(z: Tensor, memory: Tensor) -> Tensor:
+def lstm_cell(z: Tensor, cell: Tensor) -> Tensor:
     """One LSTM cell update as one node.
 
     ``z`` [..., 4H] holds the gate pre-activations: the input, forget and
-    output gates, then the candidate. ``memory`` [..., H] is the previous cell
-    memory. Returns ``[memory' | hidden']`` as [..., 2H], where
-    memory' = f * memory + i * c and hidden' = o * tanh(memory'), with i, f, o
-    the sigmoids of their blocks and c the tanh of the candidate.
+    output gates, then the candidate. ``cell`` [..., 2H] is the previous
+    ``[memory | hidden]``, of which only the memory is read. Returns
+    ``[memory' | hidden']`` as [..., 2H], where memory' = f * memory + i * c
+    and hidden' = o * tanh(memory'), with i, f, o the sigmoids of their
+    blocks and c the tanh of the candidate; the previous cell's gradient is
+    ``[g_memory * f | 0]``.
 
     Forward and backward multiply in the same order as the cell written out in
     sigmoid, tanh, mul and add ops would, so every result and gradient is
     bit-identical to that composition.
     """
-    hdim = memory.data.shape[-1]
-    if z.data.shape != memory.data.shape[:-1] + (4 * hdim,):
-        raise ShapeError(f"lstm_cell: gates {z.data.shape} for a memory {memory.data.shape}")
+    hdim = cell.data.shape[-1] // 2
+    if z.data.shape != cell.data.shape[:-1] + (4 * hdim,) or cell.data.shape[-1] % 2:
+        raise ShapeError(f"lstm_cell: gates {z.data.shape} for a cell {cell.data.shape}")
     gates = _sigmoid(z.data[..., :3 * hdim])
     i, f, o = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
     c = np.tanh(z.data[..., 3 * hdim:])
-    m_prev = memory.data
+    m_prev = cell.data[..., :hdim]
     m = f * m_prev + i * c
     tanh_m = np.tanh(m)
 
@@ -293,10 +295,10 @@ def lstm_cell(z: Tensor, memory: Tensor) -> Tensor:
                                 ((gm * m_prev) * f) * (1.0 - f),
                                 ((gh * tanh_m) * o) * (1.0 - o),
                                 (gm * i) * (1.0 - c * c)], axis=-1))
-        if memory.requires_grad:
-            emit(memory, gm * f)
+        if cell.requires_grad:
+            emit(cell, np.concatenate([gm * f, np.zeros_like(gm)], axis=-1))
 
-    return _node(np.concatenate([m, o * tanh_m], axis=-1), (z, memory), bw)
+    return _node(np.concatenate([m, o * tanh_m], axis=-1), (z, cell), bw)
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -372,18 +374,18 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     return _node(w, (v, g), bw)
 
 
-def dropout(x: Tensor, p: float, rng, positions: int | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, rng, positions: int = 0) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by 1/(1-p).
 
     Identity when ``rng`` is None or p == 0. Otherwise ``rng`` is a list with
     one integer seed or numpy Generator per example (the leading axis of
-    ``x``), and each example's mask is drawn from its own stream with the
-    shape ``x.shape[1:]`` that the example alone has; a fixed seed gives a
-    bit-reproducible mask.
+    ``x``), and each example's mask is drawn from its own stream; a fixed
+    seed gives a bit-reproducible mask.
 
-    ``positions`` makes the mask per position: an example's rows (its first
-    axis) are drawn as ``max(rows, positions)`` rows and the first ``rows``
-    kept. A prefix of a sequence then gets the mask rows of the whole
+    An example's rows (its first axis) are drawn as ``max(rows, positions)``
+    rows and the first ``rows`` kept, so the default draws the shape
+    ``x.shape[1:]`` that the example alone has. With ``positions`` set to a
+    sequence's length, a prefix of it gets the mask rows of the whole
     sequence, and the stream moves on by the same amount, so later draws
     from it do not depend on how many rows were kept.
     """
@@ -397,7 +399,7 @@ def dropout(x: Tensor, p: float, rng, positions: int | None = None) -> Tensor:
     if len(rng) != x.data.shape[0]:
         raise ShapeError(f"dropout: {len(rng)} generators for a batch of {x.data.shape[0]}")
     rows = x.data.shape[1]
-    shape = x.data.shape[1:] if positions is None else (max(rows, positions),) + x.data.shape[2:]
+    shape = (max(rows, positions),) + x.data.shape[2:]
     draws = np.stack([np.random.default_rng(r).random(shape)[:rows] for r in rng])
     factor = (draws >= p) / (1.0 - p)
 

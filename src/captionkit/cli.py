@@ -152,8 +152,7 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
 
 
 # Config values are converted by the declared type of the field they name.
-CONVERTERS = {"int": int, "float": float, "str": str, "bool": _bool,
-              "tuple[int, ...]": _int_tuple}
+CONVERTERS = {"int": int, "float": float, "bool": _bool, "tuple[int, ...]": _int_tuple}
 # Model fields taken from the data directory; they are not config keys.
 DATA_FIELDS = ("vocab_size", "feature_dim", "grid_size", "spatial_channels")
 

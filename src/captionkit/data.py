@@ -5,14 +5,15 @@ File formats owned by this module:
 
 * Caption corpus: UTF-8 text, one record per line, ``image_id<TAB>caption``.
 * Vocabulary: UTF-8 text, one token per line in id order (reserved tokens
-  first, so line number == token id).
+  first, so line number == token id). A token is not empty and holds no
+  whitespace, so a blank line is an error.
 * Feature file: binary, magic ``CCF1`` | u32 count | u32 F | u32 G | u32 C
   (all little-endian), then per image: u16 id length, id bytes, F float32
   global values, G*G*C float32 spatial values in row-major cell order. A
   header with G == 0 or C == 0 means no spatial grids are stored. Values are
-  float32 on disk and widened to float64 in memory. An image id holds no
-  tab, ``\n`` or ``\r``: the text files and the ``caption`` output write it
-  before a tab on a line of its own.
+  float32 on disk and widened to float64 in memory. An image id appears
+  once and holds no tab, ``\n`` or ``\r``: the text files and the
+  ``caption`` output write it before a tab on a line of its own.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class Vocabulary:
             raise FormatError("vocabulary does not start with the reserved tokens")
         if len(set(tokens)) != len(tokens):
             raise FormatError("vocabulary lists a token twice")
+        for i, tok in enumerate(tokens):
+            if tok.split() != [tok]:
+                raise FormatError(f"vocabulary token {i} {tok!r} is empty or holds whitespace")
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
 
@@ -131,7 +135,7 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for line in read_lines(path) if line.rstrip("\n")]
+        tokens = [line.rstrip("\n") for line in read_lines(path)]
         try:
             return cls(tokens)
         except FormatError as exc:
@@ -337,6 +341,8 @@ def read_features(path) -> dict[str, ImageFeatures]:
             if any(c in image_id for c in _ID_BREAKS):
                 raise FormatError(f"{path}: image id {image_id!r} at offset {pos} holds a tab "
                                   "or line break")
+            if image_id in out:
+                raise FormatError(f"{path}: image id {image_id!r} repeated at offset {start}")
             pos += id_len
             global_vec = np.frombuffer(need(pos, 4 * f_dim), dtype="<f4").astype(np.float64)
             pos += 4 * f_dim

@@ -32,14 +32,6 @@ class LstmConfig:
             raise ValueError(f"all dimensions must be >= 1: {self}")
 
 
-@dataclass
-class LstmState:
-    """The cell state [B, 1, H] of a batch after a step."""
-
-    hidden: Tensor
-    memory: Tensor
-
-
 def _shapes(config: LstmConfig):
     v, d, h = config.vocab_size, config.embed_dim, config.hidden_dim
     yield "word_embedding", (v, d), 1.0 / np.sqrt(d)
@@ -79,30 +71,32 @@ class LstmModel:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def init_state(self, features) -> LstmState:
-        """h0 = linear(relu(global feature)) and m0 = 0, each [B, 1, H] for a
-        list of B ImageFeatures."""
+    def init_state(self, features):
+        """(cell, hidden) of a list of B ImageFeatures: a zero cell [B, 1, 2H],
+        whose hidden half no step reads, and h0 = linear(relu(global feature))."""
         x = Tensor(np.maximum(global_rows(features, self.config.feature_dim), 0.0))
         h0 = ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
-        return LstmState(hidden=h0, memory=Tensor(np.zeros(h0.data.shape)))
+        return Tensor(np.zeros((len(features), 1, 2 * self.config.hidden_dim))), h0
 
-    def step(self, state: LstmState, token_ids):
+    def step(self, state, token_ids):
         """One cell update conditioned on (state, tokens); returns (state',
-        probs). ``token_ids`` holds one id per example of the [B, 1, H]
-        state, and probs are [B, 1, vocab]. Every product is a one-row
-        product per example, as in a step of that example alone. The gates,
-        memory and hidden state are one ``ad.lstm_cell`` node."""
+        probs). The state is (cell ``[memory | hidden]`` [B, 1, 2H], hidden
+        [B, 1, H]), ``token_ids`` holds one id per example, and probs are
+        [B, 1, vocab]. Every product is a one-row product per example, as in
+        a step of that example alone. The gates, memory and hidden state are
+        one ``ad.lstm_cell`` node."""
         h = self.config.hidden_dim
-        ids = np.reshape(token_ids, state.hidden.data.shape[:-1])
+        cell, hidden = state
+        ids = np.reshape(token_ids, hidden.data.shape[:-1])
         emb = ad.embedding_lookup(self.params["word_embedding"], ids)
         z = ad.add(
-            ad.matmul(ad.concat((emb, state.hidden), axis=-1), self.params["gates_w"]),
+            ad.matmul(ad.concat((emb, hidden), axis=-1), self.params["gates_w"]),
             self.params["gates_b"],
         )
-        cell = ad.lstm_cell(z, state.memory)
-        memory, hidden = ad.slice_cols(cell, 0, h), ad.slice_cols(cell, h, 2 * h)
+        cell = ad.lstm_cell(z, cell)
+        hidden = ad.slice_cols(cell, h, 2 * h)
         logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
-        return LstmState(hidden, memory), ad.softmax(logits)
+        return (cell, hidden), ad.softmax(logits)
 
     def forward(self, ids, features, seed=None):
         """Sequential unroll over input-view ids [B, T] with a list of B
@@ -123,17 +117,16 @@ class LstmModel:
 
     def start(self, features: ImageFeatures):
         """Decoding state of the empty hypothesis: an untracked view of the
-        model (``ad.view``, so no op records a backward) and h0, m0."""
+        model (``ad.view``, so no op records a backward) and its initial state."""
         view = type(self)(self.config, ad.view(self.params))
         return view, view.init_state([features])
 
     def next_probs(self, state, rows, token_ids):
-        """Keep hypotheses ``rows`` of the [B, 1, H] cell state and step each
+        """Keep hypotheses ``rows`` of the (cell, hidden) state and step each
         with its token id. Returns (state, next-token probs [len(rows), V])."""
-        view, cell = state
-        cell = LstmState(Tensor(cell.hidden.data[rows]), Tensor(cell.memory.data[rows]))
-        cell, probs = view.step(cell, token_ids)
-        return (view, cell), probs.data[:, -1]
+        view, cell_state = state
+        cell_state, probs = view.step([Tensor(t.data[rows]) for t in cell_state], token_ids)
+        return (view, cell_state), probs.data[:, -1]
 
     def forward_probs(self, ids, features: ImageFeatures) -> np.ndarray:
         """Probabilities without dropout [T, vocab] of one image's ids [T]:

@@ -18,7 +18,7 @@ from captionkit.analysis import LossStats, nll_loss, teacher_forced_ids
 from captionkit.autodiff import Tensor
 from captionkit.checkpoint import load_checkpoint, save_checkpoint
 from captionkit.data import (EmptyCorpusError, ImageFeatures, TokenSeq, Vocabulary, encode,
-                             read_lines, write_lines)
+                             read_lines, write_bytes, write_lines)
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -36,7 +36,6 @@ class TrainConfig:
     rms_epsilon: float = 1e-8
     seed: int = 0
     eval_cadence: int = 1
-    loss_reduction: str = "mean"
     probe_size: int = 64
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class TrainConfig:
         if not (0.0 < self.rms_alpha < 1.0 and self.rms_epsilon > 0
                 and math.isfinite(self.rms_epsilon)):
             raise ValueError("rms_alpha must be in (0, 1) and rms_epsilon > 0 and finite")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ValueError(f"loss_reduction must be 'mean' or 'sum', got {self.loss_reduction}")
         if self.eval_cadence < 1 or self.probe_size < 1:
             raise ValueError("eval_cadence and probe_size must be >= 1")
         if self.seed < 0:
@@ -162,7 +159,9 @@ def train(
     With ``out_dir``, each epoch rewrites ``metrics.csv`` before its
     checkpoints, and a resumed run keeps the file's rows of the epochs before
     ``start_epoch``. A run killed at any point and resumed from
-    ``last.ckpt`` then has one row per epoch and split.
+    ``last.ckpt`` then has one row per epoch and split. Each epoch serializes
+    the model once: an improving one into ``best.ckpt``, whose bytes then
+    become ``last.ckpt``.
     """
     if not train_examples:
         raise EmptyCorpusError("cannot train on an empty corpus")
@@ -202,7 +201,7 @@ def train(
             seqs = [ex.seq for ex in batch]
             probs = model.forward(teacher_forced_ids(seqs), [ex.features for ex in batch],
                                   seed=seeds)[0]
-            loss = nll_loss(probs, seqs, config.loss_reduction, result.loss_stats)
+            loss = nll_loss(probs, seqs, result.loss_stats)
             optimizer.step(lr, ad.backward(loss))
             del probs, loss  # the minibatch's graph, which nothing else holds
 
@@ -223,12 +222,14 @@ def train(
         if ckpt_dir is not None:
             metrics += [record.csv_row() for record in records]
             write_lines(metrics_path, metrics)
+            result.last_path = os.path.join(ckpt_dir, "last.ckpt")
             if improved:
                 result.best_path = best_path
-                save_checkpoint(result.best_path, model, seed=config.seed,
-                                epoch=epoch, vocab=vocab)
-            result.last_path = os.path.join(ckpt_dir, "last.ckpt")
-            save_checkpoint(result.last_path, model, seed=config.seed, epoch=epoch, vocab=vocab)
+                save_checkpoint(best_path, model, seed=config.seed, epoch=epoch, vocab=vocab)
+                with open(best_path, "rb") as fh:  # the same bytes, a chunk at a time
+                    write_bytes(result.last_path, iter(lambda: fh.read(1 << 20), b""))
+            else:
+                save_checkpoint(result.last_path, model, seed=config.seed, epoch=epoch, vocab=vocab)
         if log is not None:
             head = records[0]
             tail = records[-1]

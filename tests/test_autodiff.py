@@ -141,10 +141,11 @@ def _tanh_op(a):
     return ad._node(y, (a,), bw)
 
 
-def composed_cell(z, memory):
+def composed_cell(z, cell):
     """The LSTM cell written out in elementwise ops: the reference that
     ``ad.lstm_cell`` must equal bit for bit."""
-    h = memory.data.shape[-1]
+    h = cell.data.shape[-1] // 2
+    memory = ad.slice_cols(cell, 0, h)
     gate_in = _sigmoid_op(ad.slice_cols(z, 0, h))
     gate_forget = _sigmoid_op(ad.slice_cols(z, h, 2 * h))
     gate_out = _sigmoid_op(ad.slice_cols(z, 2 * h, 3 * h))
@@ -162,9 +163,10 @@ class TestLstmCell:
         z0 = rng.normal(scale=2.0, size=lead + (4 * hdim,))
         m0 = rng.normal(size=lead + (hdim,))
         upstream = t(rng.normal(size=lead + (2 * hdim,)), grad=False)
+        c0 = np.concatenate([m0, rng.normal(size=lead + (hdim,))], axis=-1)
         results = []
         for cell in (ad.lstm_cell, composed_cell):
-            z, memory = t(z0.copy()), t(m0.copy(), grad=memory_tracked)
+            z, memory = t(z0.copy()), t(c0.copy(), grad=memory_tracked)
             out = cell(z, memory)
             grads = ad.backward(ad.sum_all(ad.mul(out, upstream)))
             results.append((out.data, grads[z], grads.get(memory)))
@@ -180,19 +182,34 @@ class TestLstmCell:
         rng = np.random.default_rng(5)
         h = 3
         z = t(rng.normal(size=(2, 1, 4 * h)))
-        memory = t(rng.normal(size=(2, 1, h)))
+        memory = t(np.concatenate([rng.normal(size=(2, 1, h)), np.zeros((2, 1, h))], axis=-1))
         w = rng.normal(size=(2, 1, 2 * h))
         grads = ad.backward(ad.sum_all(ad.mul(ad.lstm_cell(z, memory), t(w, grad=False))))
 
         def ref():
             gates = 1.0 / (1.0 + np.exp(-z.data[..., :3 * h]))
             i, f, o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
-            m = f * memory.data + i * np.tanh(z.data[..., 3 * h:])
+            m = f * memory.data[..., :h] + i * np.tanh(z.data[..., 3 * h:])
             return (np.concatenate([m, o * np.tanh(m)], axis=-1) * w).sum()
 
         fd = finite_difference(ref, [z.data, memory.data])
         assert_grads_close(grads[z], fd[0], rtol=1e-6)
         assert_grads_close(grads[memory], fd[1], rtol=1e-6)
+
+    def test_the_previous_cell_gets_a_memory_gradient_and_a_zero_hidden_one(self):
+        # Finite differences over the whole previous [memory | hidden] cell,
+        # whose hidden half is not zero but no output reads.
+        rng = np.random.default_rng(6)
+        h = 3
+        z = t(rng.normal(size=(2, 1, 4 * h)))
+        cell = t(rng.normal(size=(2, 1, 2 * h)))
+        w = t(rng.normal(size=(2, 1, 2 * h)), grad=False)
+        grads = ad.backward(ad.sum_all(ad.mul(ad.lstm_cell(z, cell), w)))
+        fd = finite_difference(lambda: (ad.lstm_cell(z, cell).data * w.data).sum(), [cell.data])
+        assert_grads_close(grads[cell], fd[0], rtol=1e-6)
+        assert np.all(fd[0][..., h:] == 0.0)
+        assert np.all(grads[cell][..., h:] == 0.0)
+        assert np.all(grads[cell][..., :h] != 0.0)
 
 
 def _sigmoid_by_glu(x):
@@ -206,7 +223,8 @@ def _sigmoid_by_lstm_cell(x):
     with a zero candidate."""
     x = np.asarray(x, dtype=np.float64)[None]
     zero = np.zeros_like(x)
-    cell = ad.lstm_cell(t(np.concatenate([zero, x, zero, zero], axis=-1)), t(np.ones_like(x)))
+    cell = ad.lstm_cell(t(np.concatenate([zero, x, zero, zero], axis=-1)),
+                        t(np.concatenate([np.ones_like(x), zero], axis=-1)))
     return cell.data[0, :x.shape[-1]]
 
 
@@ -539,7 +557,7 @@ def test_causal_conv_future_independence_property(seed, cut, K):
     (lambda: ad.embedding_lookup(t(np.zeros((2, 4, 3))), np.zeros((3, 1), dtype=int)),
      "embedding_lookup: ids (3, 1) for a table (2, 4, 3)"),
     (lambda: ad.lstm_cell(t(np.zeros((1, 8))), t(np.zeros((1, 3)))),
-     "lstm_cell: gates (1, 8) for a memory (1, 3)"),
+     "lstm_cell: gates (1, 8) for a cell (1, 3)"),
     (lambda: ad.tile_rows(t(np.zeros((1, 4))), 3), "tile_rows: expected [B, 1, D], got (1, 4)"),
     (lambda: ad.pick(t(np.zeros((1, 3, 5))), [0, 1]), "pick: expected ids [B, T'], got (2,)"),
 ])

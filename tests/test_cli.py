@@ -163,6 +163,17 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
+    @pytest.mark.parametrize("value", ["mean", "sum"])
+    def test_a_loss_reduction_key_is_unknown(self, tmp_path, capsys, value):
+        # The objective is the per-token mean NLL; no key chooses another.
+        data_dir = make_data(tmp_path)
+        cfg = write_cfg(tmp_path, TINY_CNN_CFG + f"loss_reduction = {value}\n")
+        out = tmp_path / "run"
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", cfg, "--out", out]) == 1
+        assert "unknown config keys: loss_reduction" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_empty_caption_fails(self, tmp_path, capsys):
         data_dir = make_data(tmp_path)
         with open(data_dir / "val.tsv", "a", encoding="utf-8") as fh:
@@ -272,7 +283,7 @@ NON_DEFAULT_TRAIN_VALUES = {
     "learning_rate": ("2e-3", 2e-3), "decay_factor": ("0.5", 0.5),
     "decay_period": ("4", 4), "epochs": ("3", 3), "batch_size": ("5", 5),
     "rms_alpha": ("0.9", 0.9), "rms_epsilon": ("1e-6", 1e-6), "seed": ("11", 11),
-    "eval_cadence": ("2", 2), "loss_reduction": ("sum", "sum"), "probe_size": ("7", 7),
+    "eval_cadence": ("2", 2), "probe_size": ("7", 7),
 }
 
 

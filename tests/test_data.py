@@ -57,6 +57,8 @@ class TestBuildVocab:
     @pytest.mark.parametrize("lines, match", [
         (["a", "<S>", "<E>", "<UNK>"], "does not start with the reserved tokens"),
         (["<S>", "<E>", "<UNK>", "a", "b", "a"], "lists a token twice"),
+        (["<S>", "<E>", "<UNK>", "", "x"], "token 3 '' is empty or holds whitespace"),
+        (["<S>", "<E>", "<UNK>", "x", "a b"], "token 4 'a b' is empty or holds whitespace"),
     ])
     def test_constructor_and_file_reject_the_same_lists(self, tmp_path, lines, match):
         with pytest.raises(data.FormatError, match=match):
@@ -175,6 +177,15 @@ class TestFeatureFile:
         offset = blob.index(b"img1")  # the second id, the same length with its 1 replaced
         path.write_bytes(blob[:offset + 3] + mark + blob[offset + 4:])
         with pytest.raises(data.FormatError, match=f"at offset {offset} holds a tab or line break"):
+            data.read_features(path)
+
+    def test_a_repeated_id_is_a_format_error(self, tmp_path):
+        path = tmp_path / "f.ccf"
+        data.write_features(self._features(), path)
+        blob = path.read_bytes()
+        offset = blob.index(b"img1") - 2  # the second record, after its u16 id length
+        path.write_bytes(blob.replace(b"img1", b"img0"))
+        with pytest.raises(data.FormatError, match=f"id 'img0' repeated at offset {offset}"):
             data.read_features(path)
 
     def test_bad_magic(self, tmp_path):

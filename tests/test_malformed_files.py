@@ -144,7 +144,10 @@ def with_vocabulary(blob: bytes, edit) -> bytes:
     (lambda v: v[:-1] + [v[3]], "lists a token twice"),
     (lambda v: v[:10], "vocabulary at offset 12 has 10 tokens"),
     (lambda v: v[:3] + list(range(3, len(v))), "token that is not a string"),
-], ids=["reserved_removed", "token_repeated", "ten_tokens", "int_tokens"])
+    (lambda v: v[:3] + [""] + v[4:], "token 3 '' is empty or holds whitespace"),
+    (lambda v: v[:4] + ["a b"] + v[5:], "token 4 'a b' is empty or holds whitespace"),
+], ids=["reserved_removed", "token_repeated", "ten_tokens", "int_tokens", "empty_token",
+        "whitespace_token"])
 def test_checkpoint_vocabulary_checked_like_a_vocabulary_file(lstm_checkpoint, tmp_path,
                                                               edit, match):
     path = tmp_path / "edited.ckpt"

@@ -14,6 +14,10 @@ a JSON object of digests, computed with one BLAS thread at fixed seeds:
   token ids and ``float.hex`` log-probabilities; ``sample_decode`` at seeds
   0-9 on the same images; and the six values of ``grad_norm_probe`` at
   chunk size 7, without its epoch and split labels;
+* for each kind at ``max_steps`` 8, a resumed run: 2 epochs, then the
+  model loaded from ``last.ckpt`` trained with ``start_epoch=2`` for 1 more
+  epoch in the same directory; its ``metrics.csv``, ``best.ckpt`` and
+  ``last.ckpt``;
 * every file of a CLI chain: ``synth``; ``train`` of ``cnn-attn``, plain
   ``cnn`` and ``lstm`` with a ``--resume``; ``caption`` and ``eval`` at beam 3
   of all three; ``analyze`` of the ``cnn-attn`` and ``lstm`` pair. The chain
@@ -136,7 +140,24 @@ def library_digests(work: Path, sizes: Sizes) -> dict[str, str]:
                 for features in images for seed in range(10)))
             probe = analysis.grad_norm_probe(model, examples[:sizes.scenes // 2], batch_size=7)
             digests[f"{name}/probe"] = _sha(_hex_fields(probe, PROBE_VALUES).encode("utf-8"))
+        digests |= resumed_digests(work / kind / "resumed", kind, records, vocab, cut)
     return digests
+
+
+def resumed_digests(run_dir: Path, kind: str, records, vocab, cut: int) -> dict[str, str]:
+    training = importlib.import_module("captionkit.training")
+    checkpoint = importlib.import_module("captionkit.checkpoint")
+    examples = training.prepare_examples(records, vocab, 8)
+    model = _model(kind, vocab.size, records[0].features, 8)
+    for start, epochs in ((0, 2), (2, 1)):
+        if start:
+            model = checkpoint.load_checkpoint(run_dir / "checkpoints" / "last.ckpt").model
+        training.train(model, examples[:cut], examples[cut:],
+                       training.TrainConfig(learning_rate=1e-3, epochs=epochs, seed=11,
+                                            probe_size=64),
+                       out_dir=str(run_dir), vocab=vocab, start_epoch=start)
+    return {f"{kind}/resumed/{Path(path).name}": _sha((run_dir / path).read_bytes())
+            for path in ("metrics.csv", "checkpoints/best.ckpt", "checkpoints/last.ckpt")}
 
 
 def cli_digests(root: Path, sizes: Sizes) -> dict[str, str]:
