@@ -5,11 +5,15 @@ parameter blobs. The header carries the model kind tag, a config echo, the
 training seed, the epoch, the vocabulary (when supplied) and the name/shape
 of every parameter; the blobs are the parameters' float64 little-endian bytes
 concatenated in header order, so a save/load round trip is bit-exact.
+Saving writes each parameter from its own memory, and loading reads each
+one straight into its array, so neither holds a second copy of the data.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -88,7 +92,8 @@ def save_checkpoint(path, model, *, seed: int, epoch: int, vocab: Vocabulary | N
         ],
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = (t.data.astype("<f8", copy=False).tobytes() for t in model.parameters().values())
+    blobs = (memoryview(np.ascontiguousarray(t.data, dtype="<f8")).cast("B")
+             for t in model.parameters().values())
     write_bytes(path, chain((MAGIC, struct.pack("<II", VERSION, len(raw)), raw), blobs))
 
 
@@ -96,59 +101,59 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
     """Read a checkpoint; a malformed or truncated file raises CheckpointError
     naming the byte offset where it went wrong."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r} at offset 0")
-    if len(blob) < 12:
-        raise CheckpointError(f"{path}: truncated at offset {len(blob)}, inside the 12-byte prefix")
-    version, header_len = struct.unpack("<II", blob[4:12])
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version} at offset 4")
-    if 12 + header_len > len(blob):
-        raise CheckpointError(
-            f"{path}: truncated at offset {len(blob)}, inside the {header_len}-byte header")
-    try:
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        kind, seed, epoch = header["kind"], header["seed"], header["epoch"]
-        for name in ("seed", "epoch"):
-            if not _JSON_TYPES["int"](header[name]):
-                raise CheckpointError(f"header field {name} is not of type int: {header[name]!r}")
-        if kind not in MODEL_KINDS:
-            raise CheckpointError(f"unknown model kind {kind!r}")
-        config_cls, model_cls, parameter_shapes = MODEL_KINDS[kind]
-        config = _header_config(config_cls, header["config"])
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-        vocab = Vocabulary(header["vocab"]) if header["vocab"] else None
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        offset = 12 + getattr(exc, "pos", getattr(exc, "start", 0))
-        raise CheckpointError(
-            f"{path}: malformed header at offset {offset}: {type(exc).__name__}: {exc}"
-        ) from exc
-    if entries != list(parameter_shapes(config).items()):
-        raise CheckpointError(f"{path}: parameter table at offset 12 does not match the config")
-    if vocab is not None and vocab.size != config.vocab_size:
-        raise CheckpointError(f"{path}: vocabulary at offset 12 has {vocab.size} tokens, "
-                              f"config vocab_size is {config.vocab_size}")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(12)
+        if prefix[:4] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {prefix[:4]!r} at offset 0")
+        if size < 12:
+            raise CheckpointError(f"{path}: truncated at offset {size}, inside the 12-byte prefix")
+        version, header_len = struct.unpack("<II", prefix[4:12])
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version} at offset 4")
+        if 12 + header_len > size:
+            raise CheckpointError(
+                f"{path}: truncated at offset {size}, inside the {header_len}-byte header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            kind, seed, epoch = header["kind"], header["seed"], header["epoch"]
+            for name in ("seed", "epoch"):
+                if not _JSON_TYPES["int"](header[name]):
+                    raise CheckpointError(f"header field {name} is not of type int: {header[name]!r}")
+            if kind not in MODEL_KINDS:
+                raise CheckpointError(f"unknown model kind {kind!r}")
+            config_cls, model_cls, parameter_shapes = MODEL_KINDS[kind]
+            config = _header_config(config_cls, header["config"])
+            entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+            vocab = Vocabulary(header["vocab"]) if header["vocab"] else None
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            offset = 12 + getattr(exc, "pos", getattr(exc, "start", 0))
+            raise CheckpointError(
+                f"{path}: malformed header at offset {offset}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if entries != list(parameter_shapes(config).items()):
+            raise CheckpointError(f"{path}: parameter table at offset 12 does not match the config")
+        if vocab is not None and vocab.size != config.vocab_size:
+            raise CheckpointError(f"{path}: vocabulary at offset 12 has {vocab.size} tokens, "
+                                  f"config vocab_size is {config.vocab_size}")
 
-    if expect_config is not None and config != expect_config:
-        stored, expected = asdict(config), asdict(expect_config)
-        diffs = sorted(k for k in stored.keys() | expected.keys()
-                       if stored.get(k) != expected.get(k))
-        raise CheckpointMismatchError(f"{path}: config mismatch on {', '.join(diffs)}")
+        if expect_config is not None and config != expect_config:
+            stored, expected = asdict(config), asdict(expect_config)
+            diffs = sorted(k for k in stored.keys() | expected.keys()
+                           if stored.get(k) != expected.get(k))
+            raise CheckpointMismatchError(f"{path}: config mismatch on {', '.join(diffs)}")
 
-    pos = 12 + header_len
-    params: dict[str, Tensor] = {}
-    for name, shape in entries:
-        count = int(np.prod(shape))
-        end = pos + 8 * count
-        if end > len(blob):
-            raise CheckpointError(f"{path}: truncated at offset {len(blob)}, inside parameter {name}")
-        arr = np.frombuffer(blob, "<f8", count=count, offset=pos).astype(np.float64).reshape(shape)
-        params[name] = Tensor(arr, requires_grad=True)
-        pos = end
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes at offset {pos}")
+        pos = 12 + header_len
+        params: dict[str, Tensor] = {}
+        for name, shape in entries:
+            end = pos + 8 * math.prod(shape)
+            if end > size:
+                raise CheckpointError(f"{path}: truncated at offset {size}, inside parameter {name}")
+            arr = np.empty(shape, "<f8")
+            fh.readinto(arr)
+            params[name] = Tensor(arr.astype(np.float64, copy=False), requires_grad=True)
+            pos = end
+    if pos != size:
+        raise CheckpointError(f"{path}: {size - pos} trailing bytes at offset {pos}")
 
     model = model_cls(config, params)
     return LoadedCheckpoint(kind=kind, model=model, seed=seed, epoch=epoch, vocab=vocab)
-

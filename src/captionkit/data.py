@@ -11,9 +11,12 @@ File formats owned by this module:
   (all little-endian), then per image: u16 id length, id bytes, F float32
   global values, G*G*C float32 spatial values in row-major cell order. A
   header with G == 0 or C == 0 means no spatial grids are stored. Values are
-  float32 on disk and widened to float64 in memory. An image id appears
-  once and holds no tab, ``\n`` or ``\r``: the text files and the
-  ``caption`` output write it before a tab on a line of its own.
+  float32 on disk and widened to float64 in memory; the writer refuses a
+  value whose float32 rounding is infinite, while underflow to 0 is allowed.
+  An image id appears once and holds no tab, ``\n`` or ``\r``: the text
+  files and the ``caption`` output write it before a tab on a line of its
+  own. Both directions stream: a read holds the arrays it returns plus one
+  record, a write one record's float32 bytes beyond the features given.
 """
 
 from __future__ import annotations
@@ -297,70 +300,92 @@ def write_features(features: dict[str, ImageFeatures], path) -> None:
         g_dim = c_dim = 0
     else:
         g_dim, _, c_dim = first_spatial.shape
-    chunks = [FEATURE_MAGIC, struct.pack("<IIII", len(items), f_dim, g_dim, c_dim)]
-    for image_id, feat in items:
-        if feat.global_vec.shape[0] != f_dim:
-            raise ValueError(f"{image_id}: global dim {feat.global_vec.shape[0]} != header {f_dim}")
-        has_spatial = feat.spatial is not None
-        if has_spatial != (g_dim > 0) or (has_spatial and feat.spatial.shape != (g_dim, g_dim, c_dim)):
-            raise ValueError(f"{image_id}: spatial shape inconsistent with header")
-        if any(c in image_id for c in _ID_BREAKS):
-            raise ValueError(f"{image_id!r}: image id holds a tab or line break")
-        raw = image_id.encode("utf-8")
-        chunks += [struct.pack("<H", len(raw)), raw, feat.global_vec.astype("<f4").tobytes()]
-        if has_spatial:
-            chunks.append(feat.spatial.astype("<f4").tobytes())
-    write_bytes(path, chunks)
+    records = []  # (u16 id length + id bytes, value blocks) per image
+    # An overflowing float32 cast raises here; each cast is dropped at once.
+    with np.errstate(over="raise"):
+        for image_id, feat in items:
+            if feat.global_vec.shape[0] != f_dim:
+                raise ValueError(f"{image_id}: global dim {feat.global_vec.shape[0]} != header {f_dim}")
+            has_spatial = feat.spatial is not None
+            if has_spatial != (g_dim > 0) or (has_spatial and feat.spatial.shape != (g_dim, g_dim, c_dim)):
+                raise ValueError(f"{image_id}: spatial shape inconsistent with header")
+            if any(c in image_id for c in _ID_BREAKS):
+                raise ValueError(f"{image_id!r}: image id holds a tab or line break")
+            blocks = [feat.global_vec] + ([feat.spatial] if has_spatial else [])
+            try:
+                for block in blocks:
+                    block.astype("<f4")
+            except FloatingPointError as exc:
+                raise ValueError(f"{image_id}: a feature value rounds to infinity in float32") from exc
+            raw = image_id.encode("utf-8")
+            records.append((struct.pack("<H", len(raw)) + raw, blocks))
+
+    def chunks():
+        yield FEATURE_MAGIC + struct.pack("<IIII", len(items), f_dim, g_dim, c_dim)
+        for head, blocks in records:
+            yield head
+            for block in blocks:
+                yield block.astype("<f4")
+
+    write_bytes(path, chunks())
 
 
 def read_features(path) -> dict[str, ImageFeatures]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    def need(offset: int, count: int) -> bytes:
-        if offset + count > len(blob):
-            raise FormatError(f"{path}: truncated payload, needed {count} bytes at offset {offset}")
-        return blob[offset:offset + count]
-
-    if need(0, 4) != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r} at byte 0")
-    count, f_dim, g_dim, c_dim = struct.unpack("<IIII", need(4, 16))
-    pos = 20
+    """Read record by record, each read checked against the file's size first."""
     out: dict[str, ImageFeatures] = {}
-    # Widening a float32 signalling NaN warns; the NaN it becomes is
-    # rejected by ImageFeatures as non-finite.
-    with np.errstate(invalid="ignore"):
-        for _ in range(count):
-            start = pos
-            (id_len,) = struct.unpack("<H", need(pos, 2))
-            pos += 2
-            try:
-                image_id = need(pos, id_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
-            if any(c in image_id for c in _ID_BREAKS):
-                raise FormatError(f"{path}: image id {image_id!r} at offset {pos} holds a tab "
-                                  "or line break")
-            if image_id in out:
-                raise FormatError(f"{path}: image id {image_id!r} repeated at offset {start}")
-            pos += id_len
-            global_vec = np.frombuffer(need(pos, 4 * f_dim), dtype="<f4").astype(np.float64)
-            pos += 4 * f_dim
-            spatial = None
-            if g_dim > 0 and c_dim > 0:
-                n = g_dim * g_dim * c_dim
-                spatial = (
-                    np.frombuffer(need(pos, 4 * n), dtype="<f4")
-                    .astype(np.float64)
-                    .reshape(g_dim, g_dim, c_dim)
-                )
-                pos += 4 * n
-            try:
-                out[image_id] = ImageFeatures(global_vec, spatial)
-            except InvalidFeatureError as exc:
-                raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
-    if pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes at offset {pos}")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def need(offset: int, count: int) -> None:
+            if offset + count > size:
+                raise FormatError(f"{path}: truncated payload, needed {count} bytes at offset {offset}")
+
+        head = fh.read(20)
+        need(0, 4)
+        if head[:4] != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r} at byte 0")
+        need(4, 16)
+        count, f_dim, g_dim, c_dim = struct.unpack("<IIII", head[4:])
+        grid = g_dim * g_dim * c_dim if g_dim > 0 and c_dim > 0 else 0
+        pos = 20
+        # Widening a float32 signalling NaN warns; the NaN it becomes is
+        # rejected by ImageFeatures as non-finite.
+        with np.errstate(invalid="ignore"):
+            for _ in range(count):
+                start = pos
+                need(pos, 2)
+                (id_len,) = struct.unpack("<H", fh.read(2))
+                pos += 2
+                # The id and both value blocks in one read; a record cut
+                # short reads its id alone and fails one of the checks below.
+                body_len = id_len + 4 * (f_dim + grid)
+                body = fh.read(body_len if pos + body_len <= size else id_len)
+                need(pos, id_len)
+                try:
+                    image_id = body[:id_len].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
+                if any(c in image_id for c in _ID_BREAKS):
+                    raise FormatError(f"{path}: image id {image_id!r} at offset {pos} holds a tab "
+                                      "or line break")
+                if image_id in out:
+                    raise FormatError(f"{path}: image id {image_id!r} repeated at offset {start}")
+                pos += id_len
+                need(pos, 4 * f_dim)
+                need(pos + 4 * f_dim, 4 * grid)
+                # Separate arrays, so holding one block keeps no other alive.
+                global_vec = np.frombuffer(body, "<f4", f_dim, id_len).astype(np.float64)
+                spatial = None
+                if grid:
+                    spatial = (np.frombuffer(body, "<f4", grid, id_len + 4 * f_dim)
+                               .astype(np.float64).reshape(g_dim, g_dim, c_dim))
+                pos += 4 * (f_dim + grid)
+                try:
+                    out[image_id] = ImageFeatures(global_vec, spatial)
+                except InvalidFeatureError as exc:
+                    raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
+    if pos != size:
+        raise FormatError(f"{path}: {size - pos} trailing bytes at offset {pos}")
     return out
 
 

@@ -188,6 +188,24 @@ class TestFeatureFile:
         with pytest.raises(data.FormatError, match=f"id 'img0' repeated at offset {offset}"):
             data.read_features(path)
 
+    @pytest.mark.parametrize("bad", [
+        data.ImageFeatures(np.array([1.0, 1e39] + [0.0] * 4), np.zeros((3, 3, 4))),
+        data.ImageFeatures(np.zeros(6), np.full((3, 3, 4), -(2.0**128 - 2.0**103))),
+    ], ids=["global", "grid"])
+    def test_a_value_float32_makes_infinite_is_refused_before_writing(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="img1: a feature value rounds to infinity"):
+            data.write_features(self._features() | {"img1": bad}, tmp_path / "f.ccf")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_extremes_and_underflow_are_written(self, tmp_path):
+        top = np.nextafter(2.0**128 - 2.0**103, 0.0)  # rounds down to the float32 maximum
+        feats = {"img0": data.ImageFeatures(np.array([top, -top, 1e-50, 0.0, 1.0, -1.0]))}
+        path = tmp_path / "f.ccf"
+        data.write_features(feats, path)
+        big = float(np.finfo(np.float32).max)
+        assert data.read_features(path)["img0"].global_vec.tolist() == [big, -big, 0.0, 0.0,
+                                                                       1.0, -1.0]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.ccf"
         path.write_bytes(b"XXXX" + b"\x00" * 32)

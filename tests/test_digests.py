@@ -45,8 +45,8 @@ def test_a_one_ulp_change_in_a_checkpoint_is_named(tmp_path):
     planted = tmp_path / "src"
     shutil.copytree(ROOT / "src", planted, ignore=shutil.ignore_patterns("__pycache__"))
     module = planted / "captionkit" / "checkpoint.py"
-    line = ('    blobs = (t.data.astype("<f8", copy=False).tobytes() '
-            'for t in model.parameters().values())\n')
+    line = ('    blobs = (memoryview(np.ascontiguousarray(t.data, dtype="<f8")).cast("B")\n'
+            '             for t in model.parameters().values())\n')
     source = module.read_text()
     assert source.count(line) == 1
     module.write_text(source.replace(line, (
