@@ -167,7 +167,7 @@ class CaptionModel:
             if f.spatial.shape != grid:
                 raise ad.ShapeError(f"spatial grid {f.spatial.shape} does not match "
                                     f"configured {grid}")
-        return Tensor(np.stack([f.spatial_flat() for f in features]))
+        return Tensor(np.stack([f.spatial_flat() for f in features], dtype=np.float64))
 
     def forward(self, ids, features, seed=None):
         """Probabilities for every position of a batch of input-view id

@@ -11,8 +11,9 @@ File formats owned by this module:
   (all little-endian), then per image: u16 id length, id bytes, F float32
   global values, G*G*C float32 spatial values in row-major cell order. A
   header with G == 0 or C == 0 means no spatial grids are stored. Values are
-  float32 on disk and widened to float64 in memory; the writer refuses a
-  value whose float32 rounding is infinite, while underflow to 0 is allowed.
+  float32 on disk and stay float32 in memory until a model stacks a batch of
+  them as float64; the writer refuses a value whose float32 rounding is
+  infinite, while underflow to 0 is allowed.
   An image id appears once and holds no tab, ``\n`` or ``\r``: the text
   files and the ``caption`` output write it before a tab on a line of its
   own. Both directions stream: a read holds the arrays it returns plus one
@@ -220,19 +221,22 @@ def decode(ids, vocab: Vocabulary) -> list[str]:
 @dataclass
 class ImageFeatures:
     """Precomputed image descriptors: one global vector plus an optional
-    G x G grid of C-dimensional spatial cells."""
+    G x G grid of C-dimensional spatial cells. A native float32 array is
+    kept as given, at half the memory; any other dtype is widened to
+    float64. Models widen a batch to float64 where they stack it, which is
+    exact for float32."""
 
     global_vec: np.ndarray
     spatial: np.ndarray | None = None
 
     def __post_init__(self):
-        self.global_vec = np.asarray(self.global_vec, dtype=np.float64)
+        self.global_vec = _feature_array(self.global_vec)
         if self.global_vec.ndim != 1:
             raise InvalidFeatureError(f"global feature must be 1-d, got {self.global_vec.shape}")
         if not np.all(np.isfinite(self.global_vec)):
             raise InvalidFeatureError("global feature contains non-finite values")
         if self.spatial is not None:
-            self.spatial = np.asarray(self.spatial, dtype=np.float64)
+            self.spatial = _feature_array(self.spatial)
             if self.spatial.ndim != 3 or self.spatial.shape[0] != self.spatial.shape[1]:
                 raise InvalidFeatureError(f"spatial grid must be [G,G,C], got {self.spatial.shape}")
             if not np.all(np.isfinite(self.spatial)):
@@ -244,6 +248,12 @@ class ImageFeatures:
             raise InvalidFeatureError("no spatial features present")
         g, _, c = self.spatial.shape
         return self.spatial.reshape(g * g, c)
+
+
+def _feature_array(values) -> np.ndarray:
+    """``values`` as a native float32 array if it is one, else as float64."""
+    values = np.asarray(values)
+    return values if values.dtype == np.float32 else values.astype(np.float64, copy=False)
 
 
 def model_ids(ids, features) -> np.ndarray:
@@ -267,7 +277,7 @@ def global_rows(features, feature_dim: int) -> np.ndarray:
         if f.global_vec.shape[-1] != feature_dim:
             raise ShapeError(f"global feature dim {f.global_vec.shape[-1]} != configured "
                              f"{feature_dim}")
-    rows = np.stack([f.global_vec.reshape(1, -1) for f in features])
+    rows = np.stack([f.global_vec.reshape(1, -1) for f in features], dtype=np.float64)
     if not np.all(np.isfinite(rows)):
         raise InvalidFeatureError("global feature contains non-finite values")
     return rows
@@ -311,13 +321,16 @@ def write_features(features: dict[str, ImageFeatures], path) -> None:
                 raise ValueError(f"{image_id}: spatial shape inconsistent with header")
             if any(c in image_id for c in _ID_BREAKS):
                 raise ValueError(f"{image_id!r}: image id holds a tab or line break")
+            raw = image_id.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise ValueError(f"{image_id[:40]!r}...: image id is {len(raw)} UTF-8 bytes, "
+                                 "more than the format's 65535")
             blocks = [feat.global_vec] + ([feat.spatial] if has_spatial else [])
             try:
                 for block in blocks:
-                    block.astype("<f4")
+                    block.astype("<f4", copy=False)
             except FloatingPointError as exc:
                 raise ValueError(f"{image_id}: a feature value rounds to infinity in float32") from exc
-            raw = image_id.encode("utf-8")
             records.append((struct.pack("<H", len(raw)) + raw, blocks))
 
     def chunks():
@@ -325,7 +338,7 @@ def write_features(features: dict[str, ImageFeatures], path) -> None:
         for head, blocks in records:
             yield head
             for block in blocks:
-                yield block.astype("<f4")
+                yield np.ascontiguousarray(block, dtype="<f4")
 
     write_bytes(path, chunks())
 
@@ -348,42 +361,39 @@ def read_features(path) -> dict[str, ImageFeatures]:
         count, f_dim, g_dim, c_dim = struct.unpack("<IIII", head[4:])
         grid = g_dim * g_dim * c_dim if g_dim > 0 and c_dim > 0 else 0
         pos = 20
-        # Widening a float32 signalling NaN warns; the NaN it becomes is
-        # rejected by ImageFeatures as non-finite.
-        with np.errstate(invalid="ignore"):
-            for _ in range(count):
-                start = pos
-                need(pos, 2)
-                (id_len,) = struct.unpack("<H", fh.read(2))
-                pos += 2
-                # The id and both value blocks in one read; a record cut
-                # short reads its id alone and fails one of the checks below.
-                body_len = id_len + 4 * (f_dim + grid)
-                body = fh.read(body_len if pos + body_len <= size else id_len)
-                need(pos, id_len)
-                try:
-                    image_id = body[:id_len].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
-                if any(c in image_id for c in _ID_BREAKS):
-                    raise FormatError(f"{path}: image id {image_id!r} at offset {pos} holds a tab "
-                                      "or line break")
-                if image_id in out:
-                    raise FormatError(f"{path}: image id {image_id!r} repeated at offset {start}")
-                pos += id_len
-                need(pos, 4 * f_dim)
-                need(pos + 4 * f_dim, 4 * grid)
-                # Separate arrays, so holding one block keeps no other alive.
-                global_vec = np.frombuffer(body, "<f4", f_dim, id_len).astype(np.float64)
-                spatial = None
-                if grid:
-                    spatial = (np.frombuffer(body, "<f4", grid, id_len + 4 * f_dim)
-                               .astype(np.float64).reshape(g_dim, g_dim, c_dim))
-                pos += 4 * (f_dim + grid)
-                try:
-                    out[image_id] = ImageFeatures(global_vec, spatial)
-                except InvalidFeatureError as exc:
-                    raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
+        for _ in range(count):
+            start = pos
+            need(pos, 2)
+            (id_len,) = struct.unpack("<H", fh.read(2))
+            pos += 2
+            # The id and both value blocks in one read; a record cut
+            # short reads its id alone and fails one of the checks below.
+            body_len = id_len + 4 * (f_dim + grid)
+            body = fh.read(body_len if pos + body_len <= size else id_len)
+            need(pos, id_len)
+            try:
+                image_id = body[:id_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
+            if any(c in image_id for c in _ID_BREAKS):
+                raise FormatError(f"{path}: image id {image_id!r} at offset {pos} holds a tab "
+                                  "or line break")
+            if image_id in out:
+                raise FormatError(f"{path}: image id {image_id!r} repeated at offset {start}")
+            pos += id_len
+            need(pos, 4 * f_dim)
+            need(pos + 4 * f_dim, 4 * grid)
+            # Separate arrays, so holding one block keeps no other alive.
+            global_vec = np.frombuffer(body, "<f4", f_dim, id_len).astype(np.float32)
+            spatial = None
+            if grid:
+                spatial = (np.frombuffer(body, "<f4", grid, id_len + 4 * f_dim)
+                           .astype(np.float32).reshape(g_dim, g_dim, c_dim))
+            pos += 4 * (f_dim + grid)
+            try:
+                out[image_id] = ImageFeatures(global_vec, spatial)
+            except InvalidFeatureError as exc:
+                raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
     if pos != size:
         raise FormatError(f"{path}: {size - pos} trailing bytes at offset {pos}")
     return out
@@ -487,11 +497,8 @@ def synth_corpus(
         for r, c in block:
             spatial[r, c] = object_sigs[oi] + noise * rng.normal(size=spatial_channels)
 
-        # Round through float32 so the feature file round-trips bit-exactly.
-        feat = ImageFeatures(
-            global_vec.astype("<f4").astype(np.float64),
-            spatial.astype("<f4").astype(np.float64),
-        )
+        # float32, as a feature file stores them, so it round-trips bit-exactly.
+        feat = ImageFeatures(global_vec.astype(np.float32), spatial.astype(np.float32))
         color, obj = SYNTH_COLORS[ci], SYNTH_OBJECTS[oi]
         relation, place = SYNTH_RELATIONS[ri], SYNTH_PLACES[pi]
         records.append(

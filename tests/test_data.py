@@ -140,6 +140,15 @@ class TestFeatureFile:
         data.write_features(data.read_features(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("layout", [lambda a: a[::2, ::2], np.asfortranarray],
+                             ids=["strided", "fortran"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_memory_layout_is_written_in_row_major_order(self, tmp_path, layout, dtype):
+        grid = layout(np.arange(6 * 6 * 4, dtype=dtype).reshape(6, 6, 4)[:3, :3])
+        path = tmp_path / "f.ccf"
+        data.write_features({"img0": data.ImageFeatures(np.arange(6, dtype=dtype), grid)}, path)
+        assert np.array_equal(data.read_features(path)["img0"].spatial, grid)
+
     def test_no_spatial_variant(self, tmp_path):
         feats = self._features(with_spatial=False)
         path = tmp_path / "f.ccf"
@@ -168,6 +177,20 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="tab or line break"):
             data.write_features(features | {f"img{mark}7": features["img0"]}, tmp_path / "f.ccf")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("image_id", ["i" * 65536, "\u00e9" * 32768], ids=["ascii", "two_byte"])
+    def test_an_id_over_65535_utf8_bytes_is_refused_before_writing(self, tmp_path, image_id):
+        features = self._features()
+        with pytest.raises(ValueError, match="image id is 65536 UTF-8 bytes") as caught:
+            data.write_features(features | {image_id: features["img0"]}, tmp_path / "f.ccf")
+        assert str(caught.value).startswith(repr(image_id[:40]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_id_of_65535_utf8_bytes_round_trips(self, tmp_path):
+        image_id = "\u00e9" * 32767 + "i"
+        path = tmp_path / "f.ccf"
+        data.write_features({image_id: self._features()["img0"]}, path)
+        assert list(data.read_features(path)) == [image_id]
 
     @pytest.mark.parametrize("mark", [b"\t", b"\n", b"\r"], ids=["tab", "newline", "return"])
     def test_an_id_with_a_tab_or_line_break_is_a_format_error(self, tmp_path, mark):

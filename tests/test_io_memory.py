@@ -63,6 +63,7 @@ def test_read_features_holds_the_returned_arrays_and_one_record(features, featur
     loaded, peak = traced_peak(lambda: data.read_features(feature_file))
     arrays = sum(f.global_vec.nbytes + f.spatial.nbytes for f in loaded.values())
     assert peak <= arrays + MIB
+    assert arrays == 4 * sum(f.global_vec.size + f.spatial.size for f in loaded.values())
     assert all(np.array_equal(loaded[k].spatial, features[k].spatial) for k in features)
 
 
