@@ -255,10 +255,13 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE, *,
     its totals and norms are added, before the next chunk's pass. The
     caller's model and its parameters are never touched. Non-finite
     gradients set ``finite`` to False rather than raise, so a diverging run
-    still produces a flagged record. No examples raise ``EmptyCorpusError``.
+    still produces a flagged record. No examples raise ``EmptyCorpusError``
+    and a ``batch_size`` below 1 raises ``ValueError``, before any pass.
     """
     if not examples:
         raise EmptyCorpusError("no examples to probe")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     totals = _Totals()
     norm_in = 0.0
     norm_out = 0.0

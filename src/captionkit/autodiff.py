@@ -8,6 +8,9 @@ reverse topological order, and returns the summed gradient of every
 tracked leaf it reaches, a tensor with ``requires_grad`` set that no
 operation made. No tensor stores a gradient, so a call leaves nothing behind.
 
+Gradients are summed in place in arrays that :func:`backward` allocated, and
+a table lookup contributes only its rows, with the bits of a dense sum.
+
 Everything is float64, and the tests check every op's gradient against
 finite differences, alone or inside a model. A batched product is issued per example, so each example's bits
 are those of its own computation (see :func:`matmul`). Speed is measured by
@@ -15,6 +18,8 @@ the benchmark under ``bench/``, not assumed.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,29 +118,83 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+class _Rows(NamedTuple):
+    """``grad`` [N, D] to add, in order, into rows ``rows`` [N] of a table seen as [-1, D]."""
+    rows: np.ndarray
+    grad: np.ndarray
+
+
+def _sum_rows(parts: list[_Rows], shape) -> np.ndarray:
+    """The row contributions ``parts`` summed in order into one new array:
+    the first scattered into zeros, each later one as one subtotal per row.
+    Every element gets the additions of a sum of dense tables, bar the
+    ``+ 0.0`` of untouched rows, which changes nothing: no sum that starts
+    at +0.0 gives -0.0."""
+    out = np.zeros(shape)
+    flat = out.reshape(-1, shape[-1])
+    first, *rest = parts
+    # A 1-d index takes numpy's fast path; the additions keep their order.
+    np.add.at(flat, first.rows, first.grad)
+    for part in rest:
+        rows, where = np.unique(part.rows, return_inverse=True)
+        subtotals = np.zeros((rows.size, shape[-1]))
+        np.add.at(subtotals, where, part.grad)
+        flat[rows] += subtotals
+    return out
+
+
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """d(loss)/d(leaf) for every tracked leaf the loss depends on, keyed by
     the leaf; contributions from all uses of a tensor are summed. Each
-    gradient is a fresh array."""
+    gradient is a fresh array.
+
+    A tensor's second contribution makes a fresh array and later ones are
+    added into it in place, so no emitted array (``add`` emits one ``g`` to
+    both operands, ``concat`` emits views) or forward array is written to.
+    Row contributions (``embedding_lookup``) are kept in arrival order and
+    summed into one zeroed array when the tensor is reached; once a dense
+    contribution meets them, each is added as a dense table, so signed
+    zeros come out as in a dense sum. Every element gets the additions of a
+    sum of fresh dense arrays, in order, so the result is bit-identical."""
     if loss.data.size != 1:
         raise RankError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     grads: dict[Tensor, np.ndarray] = {}
     if not loss.requires_grad:
         return grads
-    pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    pending: dict[Tensor, np.ndarray | list[_Rows]] = {loss: np.ones_like(loss.data)}
+    owned: set[Tensor] = set()  # tensors whose pending array this call allocated
 
-    def emit(t: Tensor, contrib: np.ndarray) -> None:
+    def emit(t: Tensor, contrib) -> None:
         if not t.requires_grad:
             return
         cur = pending.get(t)
-        pending[t] = np.asarray(contrib, dtype=np.float64) if cur is None else cur + contrib
+        rows = isinstance(contrib, _Rows)
+        if cur is None:
+            pending[t] = [contrib] if rows else np.asarray(contrib, dtype=np.float64)
+            return
+        if isinstance(cur, list):
+            if rows:
+                cur.append(contrib)
+                return
+            cur = pending[t] = _sum_rows(cur, t.data.shape)
+            owned.add(t)
+        elif rows:
+            contrib = _sum_rows([contrib], t.data.shape)
+        if t in owned:
+            cur += contrib
+        else:
+            pending[t] = cur + contrib
+            owned.add(t)
 
     for t in reversed(_topo_order(loss)):
         g = pending.pop(t, None)
         if g is None:
             continue
+        if isinstance(g, list):
+            g = _sum_rows(g, t.data.shape)
+            owned.add(t)
         if t._bw is None:
-            grads[t] = np.array(g)
+            grads[t] = g if t in owned else np.array(g)
         else:
             t._bw(g, emit)
     return grads
@@ -415,6 +474,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     ``table`` is [V, D], or a per-example table [B, V, D] with ids [B, ...],
     where example b reads ``table[b]``. Each example's rows and table
     gradient are then bit-identical to a lookup in its own [V, D] table.
+    The backward contributes only the rows it read (see :func:`backward`).
     """
     ids = np.asarray(ids, dtype=np.int64)
     vocab, dim = table.data.shape[-2:]
@@ -430,10 +490,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         rows = example * vocab + ids  # row of the table flattened to [B*V, D]
 
     def bw(g, emit):
-        dt = np.zeros(table.data.shape)
-        # A 1-d index takes numpy's fast path; the additions keep their order.
-        np.add.at(dt.reshape(-1, dim), rows.ravel(), g.reshape(ids.size, dim))
-        emit(table, dt)
+        # Contiguous rows, so a view does not keep the rest of its base alive.
+        emit(table, _Rows(rows.ravel(), np.ascontiguousarray(g.reshape(ids.size, dim))))
 
     return _node(table.data[index], (table,), bw)
 

@@ -60,7 +60,7 @@ def sample_decode(model, features, max_steps: int | None = None,
 
     Temperatures below 1e-6 switch to the greedy argmax (the limit mode).
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:  # NaN too
         raise ValueError(f"temperature must be > 0, got {temperature}")
     if temperature < 1e-6:
         return greedy_decode(model, features, max_steps)

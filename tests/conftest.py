@@ -1,5 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def finite_difference(f, arrays, h=1e-5):

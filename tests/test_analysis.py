@@ -236,6 +236,13 @@ class TestGradNormProbe:
         with pytest.raises(EmptyCorpusError, match="no examples to probe"):
             analysis.grad_norm_probe(model, [])
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected_before_any_pass(self, batch_size, monkeypatch):
+        model, examples = self._model_examples()
+        monkeypatch.setattr(analysis, "_probe_chunk", lambda *a: pytest.fail("a pass ran"))
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            analysis.grad_norm_probe(model, examples, batch_size)
+
     def test_norm_matches_finite_difference_directional_estimate(self):
         from conftest import assert_grads_close, finite_difference
 

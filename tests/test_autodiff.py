@@ -511,6 +511,155 @@ class TestBackward:
         assert not hasattr(ad.Tensor(np.ones(2), requires_grad=True), "grad")
 
 
+def _copy(contrib):
+    if isinstance(contrib, ad._Rows):
+        return ad._Rows(contrib.rows.copy(), contrib.grad.copy())
+    return np.array(contrib, dtype=np.float64)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _traced_backward(loss):
+    """``ad.backward(loss)`` with a record of its work: a copy of every
+    forward array, of the gradient each op's backward received, and of every
+    contribution it emitted, in order, as (target, contribution, copy)."""
+    nodes = ad._topo_order(loss)
+    forward = [(n.data, n.data.copy()) for n in nodes]
+    received, emitted = {}, []
+    for node in nodes:
+        if node._bw is not None:
+            def bw(g, emit, node=node, inner=node._bw):
+                received[node] = np.array(g)
+
+                def record(target, contrib):
+                    emitted.append((target, contrib, _copy(contrib)))
+                    emit(target, contrib)
+
+                inner(g, record)
+
+            node._bw = bw
+    grads = ad.backward(loss)
+    assert _same_bits(received.pop(loss), np.ones(()))
+    return grads, received, emitted, forward
+
+
+def _sum_in_order(target, emitted):
+    """The contributions to ``target`` as a dense sum in emission order: the
+    first as emitted, each later one added as a fresh array, and a row
+    contribution as the zeroed table with ``np.add.at`` that a lookup's
+    backward used to emit."""
+    total = None
+    for to, _, contrib in emitted:
+        if to is not target:
+            continue
+        if isinstance(contrib, ad._Rows):
+            dense = np.zeros(target.shape)
+            np.add.at(dense.reshape(-1, target.shape[-1]), contrib.rows, contrib.grad)
+            contrib = dense
+        total = contrib if total is None else total + contrib
+    return total
+
+
+def _assert_sums_in_order(leaves, grads, received, emitted, forward):
+    """Every received and returned gradient has the bits of its dense sum in
+    order; each returned one is a fresh array; nothing emitted or computed
+    forward was written to."""
+    for node, g in received.items():
+        assert _same_bits(g, _sum_in_order(node, emitted)), node
+    for leaf in leaves:
+        assert _same_bits(grads[leaf], _sum_in_order(leaf, emitted)), leaf
+        shared = [c for _, c, _ in emitted if not isinstance(c, ad._Rows)] + [d for d, _ in forward]
+        assert not any(np.shares_memory(grads[leaf], a) for a in shared), leaf
+    for data, copy in forward:
+        assert _same_bits(data, copy)
+    for _, contrib, copy in emitted:
+        if isinstance(contrib, ad._Rows):
+            assert _same_bits(contrib.rows, copy.rows) and _same_bits(contrib.grad, copy.grad)
+        else:
+            assert _same_bits(contrib, copy)
+
+
+def _total(*terms):
+    """sum_all of each term times a fixed random weight, added up."""
+    rng = np.random.default_rng(len(terms))
+    out = None
+    for term in terms:
+        s = ad.sum_all(ad.mul(term, ad.Tensor(rng.normal(size=term.shape))))
+        out = s if out is None else ad.add(out, s)
+    return out
+
+
+class TestAccumulation:
+    """``backward`` sums in place only in arrays it allocated, and table
+    lookups contribute rows; either way each gradient is ``==`` to the
+    plain dense sum of its contributions in the order they arrived."""
+
+    def test_shared_upstream_arrays_sum_in_order_and_stay_unchanged(self):
+        rng = np.random.default_rng(11)
+        x, y, once = (t(rng.normal(size=(2, 3))) for _ in range(3))
+        both = ad.add(x, y)  # one g to both operands
+        twice = ad.add(x, x)  # one g to the same operand twice
+        mixed = ad.add(ad.add(both, twice), once)  # operands that other ops reuse
+        joined = ad.concat((both, twice, x, y), axis=1)  # views of one g
+        loss = _total(mixed, joined, ad.mul(both, twice), ad.mul(y, y))
+        grads, received, emitted, forward = _traced_backward(loss)
+        counts = [sum(to is n for to, _, _ in emitted) for n in (x, y, both, twice, once)]
+        assert min(counts[:4]) >= 3 and counts[4] == 1, counts
+        _assert_sums_in_order((x, y, once), grads, received, emitted, forward)
+
+    def test_rows_within_and_across_lookups_of_one_table(self):
+        # The LSTM pattern: one lookup per step, with repeated ids in a step
+        # and across steps, and rows that no step reads.
+        rng = np.random.default_rng(12)
+        table, w = t(rng.normal(size=(6, 3))), t(rng.normal(size=(3, 3)))
+        ids = np.array([[1, 1, 0, 2], [2, 1, 1, 0], [1, 2, 2, 2]])  # [B, T]
+        h = ad.Tensor(np.zeros((3, 1, 3)))
+        for step in range(ids.shape[1]):
+            emb = ad.embedding_lookup(table, ids[:, step:step + 1])
+            h = ad.softmax(ad.add(emb, ad.matmul(h, w)))
+        grads, received, emitted, forward = _traced_backward(_total(h))
+        assert sum(to is table for to, _, _ in emitted) == ids.shape[1]
+        _assert_sums_in_order((table, w), grads, received, emitted, forward)
+        assert not np.any(grads[table][3:]) and not np.any(np.signbit(grads[table][3:]))
+
+    def test_rows_of_per_example_tables(self):
+        # The probe pattern: a tracked per-example copy [B, V, D] of a table.
+        rng = np.random.default_rng(13)
+        params = {"table": t(rng.normal(size=(5, 3))), "w": t(rng.normal(size=(3, 3)))}
+        view = ad.view(params, tracked=("table",), batch=3)
+        # [B, T, 4]: each step reads rows 0-2 four times per example, so rows repeat.
+        ids = rng.integers(0, 3, size=(3, 5, 4))
+        h = ad.Tensor(np.zeros((3, 4, 3)))
+        for step in range(ids.shape[1]):
+            emb = ad.embedding_lookup(view["table"], ids[:, step])
+            h = ad.softmax(ad.add(emb, ad.matmul(h, view["w"])))
+        grads, received, emitted, forward = _traced_backward(_total(h))
+        assert sum(to is view["table"] for to, _, _ in emitted) == ids.shape[1]
+        _assert_sums_in_order((view["table"],), grads, received, emitted, forward)
+
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_rows_mixed_with_a_dense_use_keep_zero_signs(self, dense_first):
+        rng = np.random.default_rng(14)
+        table = t(rng.normal(size=(5, 2)))
+        scale = rng.normal(size=(5, 2))
+        scale[4] = -0.0  # row 4: a -0.0 in the dense contribution, read by no lookup
+        dense = ad.sum_all(ad.mul(table, ad.Tensor(scale)))  # contributes scale itself
+        looked = _total(*(ad.embedding_lookup(table, ids)
+                          for ids in ([[0, 1, 1]], [[1, 2, 0]], [[3, 3, 0]])))
+        # The second operand's backward runs first.
+        loss = ad.add(looked, dense) if dense_first else ad.add(dense, looked)
+        grads, received, emitted, forward = _traced_backward(loss)
+        kinds = [isinstance(c, ad._Rows) for to, c, _ in emitted if to is table]
+        assert kinds == ([False, True, True, True] if dense_first else [True, True, True, False])
+        (dense_g,) = [c for to, c, _ in emitted if to is table and not isinstance(c, ad._Rows)]
+        assert np.any(np.signbit(dense_g[4]) & (dense_g[4] == 0.0))
+        _assert_sums_in_order((table,), grads, received, emitted, forward)
+        assert not np.any(np.signbit(grads[table][4]))  # -0.0 + 0.0, as in a dense sum
+
+
 def test_replay_is_bit_identical():
     rng_data = np.random.default_rng(10).normal(size=(5, 4))
 

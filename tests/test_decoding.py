@@ -338,6 +338,12 @@ class TestSample:
         with pytest.raises(ValueError):
             dec.sample_decode(model, feats, temperature=0.0)
 
+    def test_nan_temperature_rejected_before_any_step(self, monkeypatch):
+        model, feats = tiny_model()
+        monkeypatch.setattr(type(model), "next_probs", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match="temperature must be > 0, got nan"):
+            dec.sample_decode(model, feats, temperature=float("nan"))
+
     def test_first_token_frequencies_within_3_sigma(self):
         model, feats = tiny_model(vocab_size=3, seed=6)
         expected = model.forward_probs(np.array([START_ID]), feats)[0]

@@ -5,7 +5,6 @@ what it promises. Peaks are tracemalloc's, on files of at least 8 MB."""
 
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,19 +12,9 @@ import pytest
 from captionkit import data
 from captionkit import lstmmodel as lm
 from captionkit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from conftest import traced_peak
 
 MIB = 2**20
-
-
-def traced_peak(call):
-    """``call()``'s result and the peak of the memory it allocated."""
-    tracemalloc.start()
-    try:
-        out = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 @pytest.fixture(scope="module")
