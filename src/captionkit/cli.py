@@ -133,8 +133,10 @@ def parse_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise CliError(f"{path}:{lineno}: key {key} given twice")
+        values[key] = value
     return values
 
 
@@ -316,7 +318,7 @@ def cmd_train(args) -> int:
         manifest.finish(
             outputs,
             best_epoch=result.best_epoch,
-            best_val_loss=result.best_val_loss,
+            best_val_loss=result.best_val_loss if result.best_epoch >= 0 else None,
             clamped_probabilities=result.loss_stats.clamped,
         )
     return 0
@@ -357,12 +359,15 @@ def cmd_eval(args) -> int:
         loaded = _load_model_checkpoint(args.ckpt)
         splits, _ = _load_dataset(args.data)
         records = splits[args.split]
-        best = [decoding.beam_search(loaded.model, rec.features, beam_size=args.beam)[0][0]
-                for rec in records]
-        candidates = [(rec.image_id, decode(seq.target_ids, loaded.vocab))
-                      for rec, seq in zip(records, best)]
-        scores = analysis.bleu([tokens for _, tokens in candidates],
-                               [[rec.caption] for rec in records])
+        features, references = {}, {}  # per image, in first-appearance order
+        for rec in records:
+            features[rec.image_id] = rec.features
+            references.setdefault(rec.image_id, []).append(rec.caption)
+        best = [decoding.beam_search(loaded.model, feat, beam_size=args.beam)[0][0]
+                for feat in features.values()]
+        candidates = [(image_id, decode(seq.target_ids, loaded.vocab))
+                      for image_id, seq in zip(features, best)]
+        scores = analysis.bleu([tokens for _, tokens in candidates], list(references.values()))
         outputs = [
             write_lines(os.path.join(out_dir, "bleu.csv"),
                         ["n,score"] + [f"{n},{score:.10g}" for n, score in enumerate(scores, 1)]),
@@ -392,6 +397,8 @@ def cmd_analyze(args) -> int:
                 "side-by-side analysis expects one cnn and one lstm checkpoint, "
                 f"got two {loaded[0].kind!r}"
             )
+        # Each val image is decoded once, however many captions it has.
+        val_images = {rec.image_id: rec.features for rec in splits["val"][:args.limit]}
         records = {}
         outputs = []
         for ckpt in loaded:
@@ -402,9 +409,8 @@ def cmd_analyze(args) -> int:
                 ), epoch=ckpt.epoch, split=split)
                 for split in ("train", "val")
             ]
-            beams = [[seq for seq, _ in decoding.beam_search(model, rec.features,
-                                                             beam_size=args.beam)]
-                     for rec in splits["val"][:args.limit]]
+            beams = [[seq for seq, _ in decoding.beam_search(model, feat, beam_size=args.beam)]
+                     for feat in val_images.values()]
             diversity = analysis.unique_words_per_position(beams, positions=args.positions)
             outputs += [
                 write_lines(os.path.join(out_dir, f"analysis_{ckpt.kind}.csv"),

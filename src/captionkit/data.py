@@ -16,8 +16,9 @@ File formats owned by this module:
   infinite, while underflow to 0 is allowed.
   An image id appears once and holds no tab, ``\n`` or ``\r``: the text
   files and the ``caption`` output write it before a tab on a line of its
-  own. Both directions stream: a read holds the arrays it returns plus one
-  record, a write one record's float32 bytes beyond the features given.
+  own. Both directions stream: a read holds the arrays it returns, each
+  block read straight into its array; a write checks, casts and writes each
+  item in one pass, holding one record's float32 bytes beyond the features.
 """
 
 from __future__ import annotations
@@ -300,20 +301,18 @@ class CorpusRecord:
 
 
 def write_features(features: dict[str, ImageFeatures], path) -> None:
-    """Check every item, then write them all: a rejected one leaves ``path`` as it was."""
-    items = list(features.items())
-    if not items:
+    """Check, cast and write each item in one pass: a rejected item raises
+    before its record is written, and ``write_bytes`` then leaves ``path``
+    as it was."""
+    if not features:
         raise ValueError("refusing to write an empty feature file")
-    f_dim = items[0][1].global_vec.shape[0]
-    first_spatial = items[0][1].spatial
-    if first_spatial is None:
-        g_dim = c_dim = 0
-    else:
-        g_dim, _, c_dim = first_spatial.shape
-    records = []  # (u16 id length + id bytes, value blocks) per image
-    # An overflowing float32 cast raises here; each cast is dropped at once.
-    with np.errstate(over="raise"):
-        for image_id, feat in items:
+    first = next(iter(features.values()))
+    f_dim = first.global_vec.shape[0]
+    g_dim, _, c_dim = first.spatial.shape if first.spatial is not None else (0, 0, 0)
+
+    def chunks():
+        yield FEATURE_MAGIC + struct.pack("<IIII", len(features), f_dim, g_dim, c_dim)
+        for image_id, feat in features.items():
             if feat.global_vec.shape[0] != f_dim:
                 raise ValueError(f"{image_id}: global dim {feat.global_vec.shape[0]} != header {f_dim}")
             has_spatial = feat.spatial is not None
@@ -325,26 +324,22 @@ def write_features(features: dict[str, ImageFeatures], path) -> None:
             if len(raw) > 0xFFFF:
                 raise ValueError(f"{image_id[:40]!r}...: image id is {len(raw)} UTF-8 bytes, "
                                  "more than the format's 65535")
-            blocks = [feat.global_vec] + ([feat.spatial] if has_spatial else [])
             try:
-                for block in blocks:
-                    block.astype("<f4", copy=False)
+                blocks = [np.ascontiguousarray(block, dtype="<f4")
+                          for block in [feat.global_vec] + ([feat.spatial] if has_spatial else [])]
             except FloatingPointError as exc:
                 raise ValueError(f"{image_id}: a feature value rounds to infinity in float32") from exc
-            records.append((struct.pack("<H", len(raw)) + raw, blocks))
+            yield struct.pack("<H", len(raw)) + raw
+            yield from blocks
 
-    def chunks():
-        yield FEATURE_MAGIC + struct.pack("<IIII", len(items), f_dim, g_dim, c_dim)
-        for head, blocks in records:
-            yield head
-            for block in blocks:
-                yield np.ascontiguousarray(block, dtype="<f4")
-
-    write_bytes(path, chunks())
+    # An overflowing float32 cast raises; entered once, not per record.
+    with np.errstate(over="raise"):
+        write_bytes(path, chunks())
 
 
 def read_features(path) -> dict[str, ImageFeatures]:
-    """Read record by record, each read checked against the file's size first."""
+    """Read record by record, each read checked against the file's size
+    first and each value block read straight into its array."""
     out: dict[str, ImageFeatures] = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -366,13 +361,9 @@ def read_features(path) -> dict[str, ImageFeatures]:
             need(pos, 2)
             (id_len,) = struct.unpack("<H", fh.read(2))
             pos += 2
-            # The id and both value blocks in one read; a record cut
-            # short reads its id alone and fails one of the checks below.
-            body_len = id_len + 4 * (f_dim + grid)
-            body = fh.read(body_len if pos + body_len <= size else id_len)
             need(pos, id_len)
             try:
-                image_id = body[:id_len].decode("utf-8")
+                image_id = fh.read(id_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{path}: image id is not UTF-8 at offset {pos + exc.start}") from exc
             if any(c in image_id for c in _ID_BREAKS):
@@ -383,15 +374,17 @@ def read_features(path) -> dict[str, ImageFeatures]:
             pos += id_len
             need(pos, 4 * f_dim)
             need(pos + 4 * f_dim, 4 * grid)
-            # Separate arrays, so holding one block keeps no other alive.
-            global_vec = np.frombuffer(body, "<f4", f_dim, id_len).astype(np.float32)
+            # astype: native float32, which ImageFeatures keeps (no copy on little-endian)
+            global_vec = np.empty(f_dim, "<f4")
+            fh.readinto(global_vec)
             spatial = None
             if grid:
-                spatial = (np.frombuffer(body, "<f4", grid, id_len + 4 * f_dim)
-                           .astype(np.float32).reshape(g_dim, g_dim, c_dim))
+                spatial = np.empty((g_dim, g_dim, c_dim), "<f4")
+                fh.readinto(spatial)
+                spatial = spatial.astype(np.float32, copy=False)
             pos += 4 * (f_dim + grid)
             try:
-                out[image_id] = ImageFeatures(global_vec, spatial)
+                out[image_id] = ImageFeatures(global_vec.astype(np.float32, copy=False), spatial)
             except InvalidFeatureError as exc:
                 raise FormatError(f"{path}: image {image_id!r} at offset {start}: {exc}") from exc
     if pos != size:

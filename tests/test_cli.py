@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from captionkit import cli, decoding, training
+from captionkit import analysis, cli, decoding, training
 from captionkit import convmodel as cm
 from captionkit import lstmmodel as lm
 from captionkit.checkpoint import load_checkpoint, save_checkpoint
@@ -174,6 +174,19 @@ class TestTrain:
         assert "unknown config keys: loss_reduction" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_a_run_without_a_val_epoch_writes_strict_json(self, tmp_path):
+        data_dir = make_data(tmp_path, scenes=1)
+        assert read_caption_file(data_dir / "val.tsv") == []
+        out = tmp_path / "run"
+        assert run(["train", "--model", "cnn", "--data", data_dir,
+                    "--config", write_cfg(tmp_path), "--out", out]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        assert (manifest["best_epoch"], manifest["best_val_loss"]) == (-1, None)
+
     def test_empty_caption_fails(self, tmp_path, capsys):
         data_dir = make_data(tmp_path)
         with open(data_dir / "val.tsv", "a", encoding="utf-8") as fh:
@@ -246,9 +259,10 @@ class TestTrain:
     def test_a_negative_seed_names_its_key(self, tmp_path, capsys, key, fragment):
         data_dir = make_data(tmp_path)
         out = tmp_path / "run"
+        # Without the recipe's own seed line: a key given twice is refused.
+        cfg = write_cfg(tmp_path, TINY_CNN_CFG.replace("seed = 3\n", "") + f"{key} = -1\n")
         assert run(["train", "--model", "cnn", "--data", data_dir,
-                    "--config", write_cfg(tmp_path, TINY_CNN_CFG + f"{key} = -1\n"),
-                    "--out", out]) == 1
+                    "--config", cfg, "--out", out]) == 1
         assert fragment in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["manifest.json"]
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
@@ -478,6 +492,48 @@ class TestCaptionEvalAnalyze:
         refs = read_caption_file(out / "references.txt")
         assert [c for _, c in refs] == [c for _, c in read_caption_file(data_dir / "val.tsv")]
 
+    @pytest.fixture()
+    def val_image_twice(self, trained, monkeypatch):
+        """The trained run's data with the first val image listed again,
+        under the second one's caption, and every beam search recorded."""
+        data_dir, _ = trained
+        val = read_caption_file(data_dir / "val.tsv")
+        with open(data_dir / "val.tsv", "a", encoding="utf-8") as fh:
+            fh.write(f"{val[0][0]}\t{' '.join(val[1][1])}\n")
+        searched = []
+        beam_search = decoding.beam_search
+
+        def recorded(model, features, **kwargs):
+            searched.append(features)
+            return beam_search(model, features, **kwargs)
+
+        monkeypatch.setattr(decoding, "beam_search", recorded)
+        return val, searched
+
+    def test_eval_decodes_an_image_once_against_all_its_captions(self, tmp_path, trained,
+                                                                 val_image_twice):
+        data_dir, ckpt = trained
+        val, searched = val_image_twice
+        out = tmp_path / "eval"
+        assert run(["eval", "--ckpt", ckpt, "--data", data_dir, "--out", out]) == 0
+        assert len(searched) == len(val)
+        candidates = read_caption_file(out / "candidates.txt")
+        assert [image_id for image_id, _ in candidates] == [image_id for image_id, _ in val]
+        assert read_caption_file(out / "references.txt") == val + [(val[0][0], val[1][1])]
+        references = [[caption] for _, caption in val]
+        references[0].append(val[1][1])
+        scores = analysis.bleu([tokens for _, tokens in candidates], references)
+        assert (out / "bleu.csv").read_text().splitlines()[1:] == [
+            f"{n},{score:.10g}" for n, score in enumerate(scores, 1)]
+
+    def test_analyze_decodes_each_val_image_once(self, tmp_path, trained, val_image_twice):
+        data_dir, ckpt = trained
+        val, searched = val_image_twice
+        out = tmp_path / "anl"
+        assert run(["analyze", "--ckpt", ckpt, "--data", data_dir, "--out", out,
+                    "--beam", 2]) == 0
+        assert len(searched) == len(val)
+
     def test_analyze_untrained_model_reports_log_vocab_entropy(self, tmp_path):
         data_dir = make_data(tmp_path)
         vocab = Vocabulary.from_file(data_dir / "vocab.txt")
@@ -672,6 +728,11 @@ def _config_line_without_equals(tmp_path, data_dir):
     return ["train", "--model", "cnn", "--data", data_dir, "--config", cfg]
 
 
+def _config_key_given_twice(tmp_path, data_dir):
+    cfg = write_cfg(tmp_path, "embed_dim = 8\n# width\nembed_dim = 16\n")
+    return ["train", "--model", "cnn", "--data", data_dir, "--config", cfg]
+
+
 def _attention_without_grids(tmp_path, data_dir):
     features = read_features(data_dir / "features.ccf")
     global_only = {image_id: ImageFeatures(feat.global_vec) for image_id, feat in features.items()}
@@ -704,6 +765,7 @@ def _checkpoint_without_vocabulary(tmp_path, data_dir):
 
 @pytest.mark.parametrize("make_argv, fragment", [
     (_config_line_without_equals, "model.cfg:1: expected 'key = value'"),
+    (_config_key_given_twice, "model.cfg:3: key embed_dim given twice"),
     (_attention_without_grids, "attention requested but the feature file has no spatial grids"),
     (_data_file_missing, "is missing val.tsv"),
     (_ids_without_features, "train.tsv references ids without features: ['ghost']"),

@@ -160,7 +160,8 @@ class TestFeatureFile:
         data.ImageFeatures(np.zeros(5), np.zeros((3, 3, 4))),
         data.ImageFeatures(np.zeros(6), np.zeros((2, 2, 4))),
         data.ImageFeatures(np.zeros(6)),
-    ], ids=["global_width", "grid", "no_grid"])
+        data.ImageFeatures(np.array([1.0, 1e39] + [0.0] * 4), np.zeros((3, 3, 4))),
+    ], ids=["global_width", "grid", "no_grid", "float32_overflow"])
     def test_a_rejected_item_leaves_the_earlier_file_whole(self, tmp_path, bad):
         path = tmp_path / "f.ccf"
         data.write_features(dict(list(self._features().items())[:1]), path)

@@ -18,6 +18,9 @@ a JSON object of digests, computed with one BLAS thread at fixed seeds:
   model loaded from ``last.ckpt`` trained with ``start_epoch=2`` for 1 more
   epoch in the same directory; its ``metrics.csv``, ``best.ckpt`` and
   ``last.ckpt``;
+* a feature file written from float64 features, one of whose grids is
+  strided and one Fortran-ordered: the float32 cast that ``synth``, which
+  writes float32, never reaches;
 * every file of a CLI chain: ``synth``; ``train`` of ``cnn-attn``, plain
   ``cnn`` and ``lstm`` with a ``--resume``; ``caption`` and ``eval`` at beam 3
   of all three; ``analyze`` of the ``cnn-attn`` and ``lstm`` pair. The chain
@@ -160,6 +163,20 @@ def resumed_digests(run_dir: Path, kind: str, records, vocab, cut: int) -> dict[
             for path in ("metrics.csv", "checkpoints/best.ckpt", "checkpoints/last.ckpt")}
 
 
+def feature_file_digests(work: Path) -> dict[str, str]:
+    import numpy as np
+
+    data = importlib.import_module("captionkit.data")
+    rng = np.random.default_rng(13)
+    grids = [rng.normal(size=(4, 4, 8)), rng.normal(size=(8, 8, 8))[::2, ::2],
+             np.asfortranarray(rng.normal(size=(4, 4, 8)))]
+    work.mkdir(parents=True)
+    path = work / "float64.ccf"
+    data.write_features({f"img{i}": data.ImageFeatures(rng.normal(size=6), grid)
+                         for i, grid in enumerate(grids)}, path)
+    return {"data/float64.ccf": _sha(path.read_bytes())}
+
+
 def cli_digests(root: Path, sizes: Sizes) -> dict[str, str]:
     cli = importlib.import_module("captionkit.cli")
     root.mkdir(parents=True)
@@ -204,7 +221,8 @@ def tree_digests(src: str, sizes: Sizes) -> dict[str, str]:
     print(f"captionkit from {os.path.dirname(package.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        return library_digests(work / "lib", sizes) | cli_digests(work / "chain", sizes)
+        return (library_digests(work / "lib", sizes) | feature_file_digests(work / "data")
+                | cli_digests(work / "chain", sizes))
 
 
 def compare(a_path: str, b_path: str) -> int:
