@@ -253,10 +253,11 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE, *,
     bit-identical at any ``batch_size`` by construction. The probe holds one
     chunk at a time: a chunk's probabilities and gradients are dropped once
     its totals and norms are added, before the next chunk's pass. The
-    caller's model and its parameters are never touched. Non-finite
-    gradients set ``finite`` to False rather than raise, so a diverging run
-    still produces a flagged record. No examples raise ``EmptyCorpusError``
-    and a ``batch_size`` below 1 raises ``ValueError``, before any pass.
+    caller's model and its parameters are never touched. A non-finite norm
+    (a NaN or inf entry, or an overflow) sets ``finite`` to False rather
+    than raise, so a diverging run still produces a flagged record. No
+    examples raise ``EmptyCorpusError`` and a ``batch_size`` below 1 raises
+    ``ValueError``, before any pass.
     """
     if not examples:
         raise EmptyCorpusError("no examples to probe")
@@ -265,21 +266,18 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE, *,
     totals = _Totals()
     norm_in = 0.0
     norm_out = 0.0
-    finite = True
     ids = teacher_forced_ids([ex.seq for ex in examples])
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]
         probs, g_in, g_out = _probe_chunk(model, chunk, ids[lo:lo + batch_size])
-        if not (np.all(np.isfinite(g_in)) and np.all(np.isfinite(g_out))):
-            finite = False
         totals.add(probs, [ex.seq for ex in chunk])
         for b in range(len(chunk)):
             norm_in += float(np.linalg.norm(g_in[b]))
             norm_out += float(np.linalg.norm(g_out[b]))
         del probs, g_in, g_out  # the chunk's arrays, before the next chunk's pass
     n = len(examples)
-    return AnalysisRecord(epoch, split, totals.loss, totals.accuracy, totals.entropy,
-                          norm_in / n, norm_out / n, finite)
+    return AnalysisRecord(epoch, split, totals.loss, totals.accuracy, totals.entropy, norm_in / n,
+                          norm_out / n, math.isfinite(norm_in) and math.isfinite(norm_out))
 
 
 def _probe_chunk(model, chunk, ids):

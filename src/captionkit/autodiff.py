@@ -119,27 +119,19 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 class _Rows(NamedTuple):
-    """``grad`` [N, D] to add, in order, into rows ``rows`` [N] of a table seen as [-1, D]."""
+    """Sums ``grad`` [N, D], each from +0.0, of distinct rows ``rows`` [N] of a [-1, D] table."""
     rows: np.ndarray
     grad: np.ndarray
 
 
 def _sum_rows(parts: list[_Rows], shape) -> np.ndarray:
-    """The row contributions ``parts`` summed in order into one new array:
-    the first scattered into zeros, each later one as one subtotal per row.
-    Every element gets the additions of a sum of dense tables, bar the
-    ``+ 0.0`` of untouched rows, which changes nothing: no sum that starts
-    at +0.0 gives -0.0."""
+    """The row contributions ``parts`` added in order into one zeroed array:
+    every element gets the additions of a sum of dense tables, bar a
+    ``0.0 +`` that changes nothing (no sum from +0.0 gives -0.0)."""
     out = np.zeros(shape)
     flat = out.reshape(-1, shape[-1])
-    first, *rest = parts
-    # A 1-d index takes numpy's fast path; the additions keep their order.
-    np.add.at(flat, first.rows, first.grad)
-    for part in rest:
-        rows, where = np.unique(part.rows, return_inverse=True)
-        subtotals = np.zeros((rows.size, shape[-1]))
-        np.add.at(subtotals, where, part.grad)
-        flat[rows] += subtotals
+    for part in parts:
+        flat[part.rows] += part.grad
     return out
 
 
@@ -152,7 +144,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     added into it in place, so no emitted array (``add`` emits one ``g`` to
     both operands, ``concat`` emits views) or forward array is written to.
     Row contributions (``embedding_lookup``) are kept in arrival order and
-    summed into one zeroed array when the tensor is reached; once a dense
+    added into one zeroed array when the tensor is reached; once a dense
     contribution meets them, each is added as a dense table, so signed
     zeros come out as in a dense sum. Every element gets the additions of a
     sum of fresh dense arrays, in order, so the result is bit-identical."""
@@ -170,7 +162,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         cur = pending.get(t)
         rows = isinstance(contrib, _Rows)
         if cur is None:
-            pending[t] = [contrib] if rows else np.asarray(contrib, dtype=np.float64)
+            pending[t] = [contrib] if rows else contrib
             return
         if isinstance(cur, list):
             if rows:
@@ -183,7 +175,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         if t in owned:
             cur += contrib
         else:
-            pending[t] = cur + contrib
+            pending[t] = np.asarray(cur + contrib)  # a 0-d sum is a numpy scalar
             owned.add(t)
 
     for t in reversed(_topo_order(loss)):
@@ -474,7 +466,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     ``table`` is [V, D], or a per-example table [B, V, D] with ids [B, ...],
     where example b reads ``table[b]``. Each example's rows and table
     gradient are then bit-identical to a lookup in its own [V, D] table.
-    The backward contributes only the rows it read (see :func:`backward`).
+    The backward sends each distinct row it read once, its upstream rows
+    summed from +0.0 in arrival order (see :func:`backward`).
     """
     ids = np.asarray(ids, dtype=np.int64)
     vocab, dim = table.data.shape[-2:]
@@ -490,8 +483,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         rows = example * vocab + ids  # row of the table flattened to [B*V, D]
 
     def bw(g, emit):
-        # Contiguous rows, so a view does not keep the rest of its base alive.
-        emit(table, _Rows(rows.ravel(), np.ascontiguousarray(g.reshape(ids.size, dim))))
+        distinct, where = np.unique(rows, return_inverse=True)
+        sums = np.zeros((distinct.size, dim))
+        # A 1-d index takes numpy's fast path; the additions keep their order.
+        np.add.at(sums, where.ravel(), g.reshape(ids.size, dim))
+        emit(table, _Rows(distinct, sums))
 
     return _node(table.data[index], (table,), bw)
 

@@ -149,7 +149,7 @@ def load_checkpoint(path, expect_config=None) -> LoadedCheckpoint:
             if end > size:
                 raise CheckpointError(f"{path}: truncated at offset {size}, inside parameter {name}")
             arr = np.empty(shape, "<f8")
-            fh.readinto(arr)
+            fh.readinto(arr.reshape(-1))  # a view, as in data.read_features
             params[name] = Tensor(arr.astype(np.float64, copy=False), requires_grad=True)
             pos = end
     if pos != size:

@@ -204,10 +204,11 @@ def _data_file(data_dir: str, name: str) -> str:
     return path
 
 
-def _load_dataset(data_dir: str):
+def _load_dataset(data_dir: str, nonempty=()):
     """The train and val records of a data directory and its feature
-    dimensions (F, G, C). Its ``vocab.txt`` is read by ``train`` alone;
-    every other subcommand reads captions with the checkpoint's own."""
+    dimensions (F, G, C); each split named in ``nonempty`` must hold a
+    caption. Its ``vocab.txt`` is read by ``train`` alone; every other
+    subcommand reads captions with the checkpoint's own."""
     paths = {name: _data_file(data_dir, name) for name in ("train.tsv", "val.tsv", "features.ccf")}
     features = read_features(paths["features.ccf"])
     if not features:
@@ -220,6 +221,8 @@ def _load_dataset(data_dir: str):
         missing = [image_id for image_id, _ in items if image_id not in features]
         if missing:
             raise CliError(f"{split}.tsv references ids without features: {missing[:3]}")
+        if not items and split in nonempty:
+            raise CliError(f"{paths[f'{split}.tsv']} holds no captions")
         splits[split] = [CorpusRecord(image_id, caption, features[image_id])
                          for image_id, caption in items]
     return splits, (first.global_vec.shape[0], g_dim, c_dim)
@@ -357,7 +360,7 @@ def cmd_eval(args) -> int:
         None, {"ckpt": args.ckpt, "data": args.data},
     ) as manifest:
         loaded = _load_model_checkpoint(args.ckpt)
-        splits, _ = _load_dataset(args.data)
+        splits, _ = _load_dataset(args.data, nonempty=(args.split,))
         records = splits[args.split]
         features, references = {}, {}  # per image, in first-appearance order
         for rec in records:
@@ -390,7 +393,7 @@ def cmd_analyze(args) -> int:
         for flag, value in (("--limit", args.limit), ("--positions", args.positions)):
             if value < 1:
                 raise CliError(f"{flag} must be >= 1, got {value}")
-        splits, _ = _load_dataset(args.data)
+        splits, _ = _load_dataset(args.data, nonempty=("train", "val"))
         loaded = [_load_model_checkpoint(path) for path in (args.ckpt, args.ckpt2) if path]
         if len(loaded) == 2 and loaded[0].kind == loaded[1].kind:
             raise CliError(

@@ -41,6 +41,8 @@ class ModelConfig:
     spatial_channels: int = 512
 
     def __post_init__(self):
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in self.kernel_widths):
+            raise ValueError(f"kernel widths must be integers, got {self.kernel_widths!r}")
         object.__setattr__(self, "kernel_widths", tuple(int(k) for k in self.kernel_widths))
         dims = (self.vocab_size, self.embed_dim, self.hidden_dim, self.num_layers,
                 self.bottleneck_dim, self.max_steps, self.feature_dim)

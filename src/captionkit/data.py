@@ -374,13 +374,14 @@ def read_features(path) -> dict[str, ImageFeatures]:
             pos += id_len
             need(pos, 4 * f_dim)
             need(pos + 4 * f_dim, 4 * grid)
-            # astype: native float32, which ImageFeatures keeps (no copy on little-endian)
+            # astype: native float32, which ImageFeatures keeps (no copy on little-endian).
+            # readinto a throwaway view, so no returned array keeps a buffer-export record.
             global_vec = np.empty(f_dim, "<f4")
-            fh.readinto(global_vec)
+            fh.readinto(global_vec.reshape(-1))
             spatial = None
             if grid:
                 spatial = np.empty((g_dim, g_dim, c_dim), "<f4")
-                fh.readinto(spatial)
+                fh.readinto(spatial.reshape(-1))
                 spatial = spatial.astype(np.float32, copy=False)
             pos += 4 * (f_dim + grid)
             try:

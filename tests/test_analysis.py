@@ -446,6 +446,21 @@ class TestMeasurementPass:
         others = examples[:owner] + examples[owner + 1:]
         assert analysis.grad_norm_probe(model, others).finite
 
+    def test_finite_gradients_whose_norm_overflows_are_flagged(self):
+        # Two bottleneck units of 2**600 against opposite output_w rows: the
+        # logits cancel exactly, but the output_w gradient's entries near
+        # 1e180 square past float64's range.
+        model, examples = _probe_setup("cnn")
+        model.params["bottleneck_b"].data[:2] = 2.0 ** 600
+        model.params["output_w"].data[1] = -model.params["output_w"].data[0]
+        _, g_in, g_out = analysis._probe_chunk(
+            model, examples, analysis.teacher_forced_ids([ex.seq for ex in examples]))
+        assert np.isfinite(g_in).all() and np.isfinite(g_out).all()
+        with np.errstate(over="ignore"):
+            probe = analysis.grad_norm_probe(model, examples)
+        assert probe.grad_norm_out == math.inf and math.isfinite(probe.grad_norm_in)
+        assert not probe.finite
+
     def test_record_carries_every_field(self):
         model, examples = _probe_setup("lstm")
         probe = analysis.grad_norm_probe(model, examples)

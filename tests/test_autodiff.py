@@ -350,6 +350,30 @@ class TestElementwiseSuite:
         grads = ad.backward(ad.sum_all(out))
         assert np.array_equal(grads[table], [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("per_example", [False, True])
+    def test_lookup_sends_each_distinct_row_once_summed_in_arrival_order(self, per_example):
+        # 40 reads of 5 rows: a sum whose bits depend on its order. A -0.0
+        # upstream row read once must come out +0.0, as a scatter into zeros gives.
+        rng = np.random.default_rng(15)
+        table = t(rng.normal(size=(2, 6, 3) if per_example else (6, 3)))
+        ids = rng.integers(0, 5, size=(2, 20))
+        ids[1, -1] = 5
+        out = ad.embedding_lookup(table, ids if per_example else ids.ravel())
+        g = rng.normal(size=out.shape) * 1e3 ** rng.integers(-2, 3, size=out.shape)
+        g.reshape(-1, 3)[-1] = -0.0
+        sent = []
+        out._bw(g, lambda target, contrib: sent.append(contrib))
+        (rows,) = sent
+        assert np.unique(rows.rows).size == rows.rows.size
+        flat_ids = (ids + 6 * np.arange(2)[:, None] if per_example else ids).ravel()
+        scatter = np.zeros(table.shape)
+        np.add.at(scatter.reshape(-1, 3), flat_ids, g.reshape(-1, 3))
+        dense = np.zeros(table.shape)
+        dense.reshape(-1, 3)[rows.rows] = rows.grad
+        assert dense.tobytes() == scatter.tobytes()
+        assert ad.backward(ad.sum_all(ad.mul(out, t(g, grad=False))))[table].tobytes() \
+            == scatter.tobytes()
+
     def test_lookup_rejects_out_of_range(self):
         with pytest.raises(ad.OutOfVocabularyError, match="id 5"):
             ad.embedding_lookup(t(np.zeros((5, 2))), [0, 5])
@@ -506,6 +530,13 @@ class TestBackward:
         assert np.array_equal(grads[x], [[3.0, 3.0]])
         assert np.array_equal(grads[y], [[3.0, 3.0]])
         assert ad.backward(ad.sum_all(constant)) == {}
+
+    def test_a_scalar_reached_three_times_sums_every_contribution(self):
+        x = t(np.array(2.0))
+        s = ad.sum_all(t(np.array([2.0])))
+        for leaf, node in ((x, x), (s._parents[0], s)):
+            grads = ad.backward(ad.add(ad.add(node, node), node))
+            assert np.array_equal(grads[leaf], np.full(leaf.shape, 3.0))
 
     def test_tensors_hold_no_gradient(self):
         assert not hasattr(ad.Tensor(np.ones(2), requires_grad=True), "grad")

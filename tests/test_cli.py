@@ -571,6 +571,26 @@ class TestCaptionEvalAnalyze:
         assert manifest["status"] == "failed"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_eval_of_an_empty_split_names_its_file(self, tmp_path, trained, capsys, split):
+        data_dir, ckpt = trained
+        (data_dir / f"{split}.tsv").write_text("")
+        out = tmp_path / "ev"
+        assert run(["eval", "--ckpt", ckpt, "--data", data_dir, "--split", split,
+                    "--out", out]) == 1
+        assert f"CliError: {data_dir / f'{split}.tsv'} holds no captions" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_analyze_of_an_empty_split_names_its_file(self, tmp_path, trained, capsys, split):
+        data_dir, ckpt = trained
+        (data_dir / f"{split}.tsv").write_text("")
+        out = tmp_path / "anl"
+        assert run(["analyze", "--ckpt", ckpt, "--data", data_dir, "--out", out,
+                    "--limit", 2, "--beam", 2]) == 1
+        assert f"CliError: {data_dir / f'{split}.tsv'} holds no captions" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
     def test_analyze_two_checkpoints_need_distinct_kinds(self, tmp_path, trained, capsys):
         data_dir, ckpt = trained
         assert run(["analyze", "--ckpt", ckpt, "--ckpt2", ckpt,

@@ -320,6 +320,12 @@ class TestEndToEndGradients:
     (lambda: tiny_config(embed_dim=0), ValueError, "all dimensions must be >= 1"),
     (lambda: tiny_config(max_steps=-1), ValueError, "all dimensions must be >= 1"),
     (lambda: tiny_config(kernel_widths=(2, 0)), ValueError, "kernel widths must be >= 1"),
+    (lambda: tiny_config(num_layers=3, kernel_widths=(2.7, 3, 3)), ValueError,
+     "kernel widths must be integers, got (2.7, 3, 3)"),
+    (lambda: tiny_config(num_layers=3, kernel_widths="233"), ValueError,
+     "kernel widths must be integers, got '233'"),
+    (lambda: tiny_config(num_layers=3, kernel_widths=(True, 3, 3)), ValueError,
+     "kernel widths must be integers, got (True, 3, 3)"),
     (lambda: tiny_config(attention=True, grid_size=0), ValueError,
      "attention requires positive spatial dimensions"),
     (lambda: cm.init_params(tiny_config(attention=True), 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,28 @@ class TestFeatureFile:
         path = tmp_path / "f.ccf"
         data.write_features({"img0": data.ImageFeatures(np.arange(6, dtype=dtype), grid)}, path)
         assert np.array_equal(data.read_features(path)["img0"].spatial, grid)
+
+    def test_a_read_keeps_no_more_than_the_same_features_built_in_memory(self, tmp_path):
+        # A returned array that was handed to fh.readinto keeps numpy's
+        # buffer-export record (about 70 bytes) until it dies.
+        def kept(build):
+            tracemalloc.start()
+            try:
+                out = build()
+                return out, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        ids = [f"img{i:03d}" for i in range(500)]
+        path = tmp_path / "f.ccf"
+        data.write_features({k: data.ImageFeatures(np.ones(16, np.float32),
+                                                   np.ones((2, 2, 8), np.float32)) for k in ids}, path)
+        data.read_features(path)  # first-call caches
+        read, read_kept = kept(lambda: data.read_features(path))
+        built, built_kept = kept(lambda: {k.encode().decode(): data.ImageFeatures(
+            np.zeros(16, np.float32), np.zeros((2, 2, 8), np.float32)) for k in ids})
+        assert read.keys() == built.keys()
+        assert read_kept <= built_kept + 8 * len(ids), (read_kept, built_kept)
 
     def test_no_spatial_variant(self, tmp_path):
         feats = self._features(with_spatial=False)

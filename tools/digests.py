@@ -14,6 +14,9 @@ a JSON object of digests, computed with one BLAS thread at fixed seeds:
   token ids and ``float.hex`` log-probabilities; ``sample_decode`` at seeds
   0-9 on the same images; and the six values of ``grad_norm_probe`` at
   chunk size 7, without its epoch and split labels;
+* for each kind at ``max_steps`` 8, the same six probe values with one
+  ``word_embedding`` row that the probe examples read set to NaN, so a
+  flagged record is compared too;
 * for each kind at ``max_steps`` 8, a resumed run: 2 epochs, then the
   model loaded from ``last.ckpt`` trained with ``start_epoch=2`` for 1 more
   epoch in the same directory; its ``metrics.csv``, ``best.ckpt`` and
@@ -143,8 +146,25 @@ def library_digests(work: Path, sizes: Sizes) -> dict[str, str]:
                 for features in images for seed in range(10)))
             probe = analysis.grad_norm_probe(model, examples[:sizes.scenes // 2], batch_size=7)
             digests[f"{name}/probe"] = _sha(_hex_fields(probe, PROBE_VALUES).encode("utf-8"))
+            if max_steps == 8:
+                digests[f"{kind}/probe-nan"] = nan_probe_digest(model, examples[:sizes.scenes // 2])
         digests |= resumed_digests(work / kind / "resumed", kind, records, vocab, cut)
     return digests
+
+
+def nan_probe_digest(model, examples) -> str:
+    """The probe's six values with the row of the first example's first
+    word set to NaN; the model is restored afterwards."""
+    analysis = importlib.import_module("captionkit.analysis")
+    table = model.params["word_embedding"].data
+    row = examples[0].seq.input_ids[1]
+    saved = table[row].copy()
+    table[row] = float("nan")
+    try:
+        probe = analysis.grad_norm_probe(model, examples, batch_size=7)
+    finally:
+        table[row] = saved
+    return _sha(_hex_fields(probe, PROBE_VALUES).encode("utf-8"))
 
 
 def resumed_digests(run_dir: Path, kind: str, records, vocab, cut: int) -> dict[str, str]:
