@@ -271,9 +271,10 @@ def grad_norm_probe(model, examples, batch_size: int = BATCH_SIZE, *,
         chunk = examples[lo:lo + batch_size]
         probs, g_in, g_out = _probe_chunk(model, chunk, ids[lo:lo + batch_size])
         totals.add(probs, [ex.seq for ex in chunk])
-        for b in range(len(chunk)):
-            norm_in += float(np.linalg.norm(g_in[b]))
-            norm_out += float(np.linalg.norm(g_out[b]))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, flagged below
+            for b in range(len(chunk)):
+                norm_in += float(np.linalg.norm(g_in[b]))
+                norm_out += float(np.linalg.norm(g_out[b]))
         del probs, g_in, g_out  # the chunk's arrays, before the next chunk's pass
     n = len(examples)
     return AnalysisRecord(epoch, split, totals.loss, totals.accuracy, totals.entropy, norm_in / n,

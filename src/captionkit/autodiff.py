@@ -9,7 +9,10 @@ tracked leaf it reaches, a tensor with ``requires_grad`` set that no
 operation made. No tensor stores a gradient, so a call leaves nothing behind.
 
 Gradients are summed in place in arrays that :func:`backward` allocated, and
-a table lookup contributes only its rows, with the bits of a dense sum.
+a table lookup contributes only its rows, with the bits of a dense sum. A
+node keeps only the arrays its backward reads, which is why a linear layer
+(:func:`matmul` with a bias) and a layer's attention (:func:`attention`) are
+one node each.
 
 Everything is float64, and the tests check every op's gradient against
 finite differences, alone or inside a model. A batched product is issued per example, so each example's bits
@@ -36,6 +39,7 @@ __all__ = [
     "log",
     "clamp_min",
     "softmax",
+    "attention",
     "glu",
     "lstm_cell",
     "causal_conv1d",
@@ -205,50 +209,52 @@ def view(params: dict[str, Tensor], tracked=(), batch: int = 1) -> dict[str, Ten
 # operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a`` [T, C] or a batch [B, T, C] times a shared ``b`` [C, D], or a
-    batched product [B, T, C] @ [B, C, D].
+    batched product [B, T, C] @ [B, C, D], plus ``bias`` [D] on every row
+    when given.
 
     A batch runs as one stacked ``np.matmul``, which issues one product per
     example at the shape that example alone would use. Each example's result
     rows, and in backward its ``a`` gradient, are therefore bit-identical to
     that example's own product, whatever its batch-mates. The gradient of a
-    shared ``b`` is one product summed over the batch.
+    shared ``b`` is one product summed over the batch, and that of ``bias``
+    the upstream rows summed. The bias is added to the product in place, so
+    the node holds one array where a product and a sum would hold two.
     """
     x, w = a.data, b.data
-    if x.ndim in (2, 3) and w.ndim == 2 and x.shape[-1] == w.shape[0]:
-        def bw(g, emit):
-            if a.requires_grad:
-                emit(a, g @ w.T)
-            if b.requires_grad:
-                emit(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
+    shared = x.ndim in (2, 3) and w.ndim == 2 and x.shape[-1] == w.shape[0]
+    if not shared and not (x.ndim == 3 and w.ndim == 3 and x.shape[0] == w.shape[0]
+                           and x.shape[2] == w.shape[1]):
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {w.shape}")
+    if bias is not None and bias.data.shape != w.shape[-1:]:
+        raise ShapeError(f"matmul: bias shape {bias.data.shape}, expected ({w.shape[-1]},)")
+    out = x @ w
+    if bias is not None:
+        out += bias.data
 
-        return _node(x @ w, (a, b), bw)
-    if x.ndim == 3 and w.ndim == 3 and x.shape[0] == w.shape[0] and x.shape[2] == w.shape[1]:
-        def bw(g, emit):
-            if a.requires_grad:
-                emit(a, g @ w.swapaxes(1, 2))
-            if b.requires_grad:
-                emit(b, x.swapaxes(1, 2) @ g)
+    def bw(g, emit):
+        if a.requires_grad:
+            emit(a, g @ w.swapaxes(-1, -2))
+        if b.requires_grad:
+            emit(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]) if shared
+                 else x.swapaxes(1, 2) @ g)
+        if bias is not None and bias.requires_grad:
+            emit(bias, g.sum(axis=tuple(range(g.ndim - 1))))
 
-        return _node(x @ w, (a, b), bw)
-    raise ShapeError(f"matmul: incompatible shapes {x.shape} and {w.shape}")
+    return _node(out, (a, b) if bias is None else (a, b, bias), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a 1-d ``b`` broadcasts over the last axis of ``a``."""
-    if a.data.shape == b.data.shape:
-        def bw(g, emit):
-            emit(a, g)
-            emit(b, g)
-        return _node(a.data + b.data, (a, b), bw)
-    if a.data.ndim >= 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[-1]:
-        def bw(g, emit):
-            emit(a, g)
-            if b.requires_grad:
-                emit(b, g.sum(axis=tuple(range(g.ndim - 1))))
-        return _node(a.data + b.data, (a, b), bw)
-    raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
+    """Elementwise sum of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
+
+    def bw(g, emit):
+        emit(a, g)
+        emit(b, g)
+
+    return _node(a.data + b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -286,16 +292,55 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return _node(np.maximum(a.data, floor), (a,), bw)
 
 
+def _softmax(x: np.ndarray):
+    """Softmax over the last axis of an array, and its backward: the
+    function from the upstream gradient to the gradient at ``x``."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y, grad = _softmax(a.data)
 
     def bw(g, emit):
-        emit(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        emit(a, grad(g))
 
     return _node(y, (a,), bw)
+
+
+def attention(d: Tensor, w: Tensor, spatial: Tensor):
+    """``d`` plus its attention context over constant grids, as one node.
+
+    ``d`` is [T, H] with one grid ``spatial`` [N, H], or a batch [B, T, H]
+    with one grid per example [B, N, H]; ``w`` is [H, H]. Row j's scores over
+    the N cells are (d_j w) . c_i, its weights their softmax, and its context
+    the weighted sum of the cells. Returns (d + context, the weights
+    [..., T, N] as an array); each row of weights sums to 1.
+
+    The products and sums are those of the composed ops (``matmul`` twice,
+    ``softmax``, ``matmul``, ``add`` of ``d``) in their order, so the result
+    and gradients are bit-identical to that composition when ``d`` has no
+    other use; ``d``'s two contributions are summed here, once. The node
+    keeps the weights, not the projected rows, scores or context. The grids
+    get no gradient.
+    """
+    x, wd, grid = d.data, w.data, spatial.data
+    h = x.shape[-1]
+    if (x.ndim not in (2, 3) or grid.ndim != x.ndim or grid.shape[:-2] != x.shape[:-2]
+            or wd.shape != (h, h) or grid.shape[-1] != h):
+        raise ShapeError(f"attention: rows {x.shape}, weight {wd.shape} and grids {grid.shape}")
+    cells = grid.swapaxes(-1, -2)
+    weights, softmax_grad = _softmax((x @ wd) @ cells)
+
+    def bw(g, emit):
+        g_dw = softmax_grad(g @ cells) @ grid
+        if w.requires_grad:
+            emit(w, x.reshape(-1, h).T @ g_dw.reshape(-1, h))
+        emit(d, g + g_dw @ wd.T)
+
+    return _node(x + weights @ grid, (d, w), bw), weights
 
 
 def glu(a: Tensor) -> Tensor:
@@ -378,8 +423,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (cout,):
         raise ShapeError(f"causal_conv1d: bias shape {bias.data.shape}, expected ({cout},)")
     T = x.data.shape[-2]
-    pad = np.zeros(x.data.shape[:-2] + (K - 1, cin))
-    xp = np.concatenate([pad, x.data], axis=-2)
+
+    def padded():  # x after its K-1 zero rows; backward rebuilds it rather than keep it
+        return np.concatenate([np.zeros(x.data.shape[:-2] + (K - 1, cin)), x.data], axis=-2)
+
+    xp = padded()
     out = np.empty(x.data.shape[:-1] + (cout,))
     out[...] = bias.data
     for k in range(K):
@@ -390,10 +438,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             emit(bias, g_rows.sum(axis=0))
         if kernel.requires_grad:
+            xp = padded()
             emit(kernel, np.stack([xp[..., k:k + T, :].reshape(-1, cin).T @ g_rows
                                    for k in range(K)]))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(x.data.shape[:-2] + (K - 1 + T, cin))
             for k in range(K):
                 dxp[..., k:k + T, :] += g @ kernel.data[k].T
             emit(x, dxp[..., K - 1:, :])
@@ -452,12 +501,12 @@ def dropout(x: Tensor, p: float, rng, positions: int = 0) -> Tensor:
     rows = x.data.shape[1]
     shape = (max(rows, positions),) + x.data.shape[2:]
     draws = np.stack([np.random.default_rng(r).random(shape)[:rows] for r in rng])
-    factor = (draws >= p) / (1.0 - p)
+    keep = draws >= p  # the node keeps this mask, one byte per value
 
     def bw(g, emit):
-        emit(x, g * factor)
+        emit(x, g * (keep / (1.0 - p)))
 
-    return _node(x.data * factor, (x,), bw)
+    return _node(x.data * (keep / (1.0 - p)), (x,), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

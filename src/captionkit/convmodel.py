@@ -154,7 +154,7 @@ class CaptionModel:
         dropout draws, else None."""
         x = Tensor(global_rows(features, self.config.feature_dim))
         x = Tensor(np.maximum(ad.dropout(x, self.config.dropout_p, rng).data, 0.0))
-        return ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
+        return ad.matmul(x, self.params["image_w"], self.params["image_b"])
 
     def _spatial(self, features) -> Tensor | None:
         """The checked spatial grids [B, G*G, C] of a list of B ImageFeatures
@@ -210,18 +210,16 @@ class CaptionModel:
         for layer in range(cfg.num_layers):
             x = ad.dropout(h, cfg.dropout_p, rng, positions=cfg.max_steps + 1)
             conv = ad.causal_conv1d(x, kernels[layer], self.params[f"conv{layer}_bias"])
-            d = ad.glu(conv)
-            out = d
+            out = ad.glu(conv)
             if cfg.attention:
-                context, amap = attend(d, spatial, self.params[f"attn{layer}_w"])
-                attention_maps.append(amap.data)
-                out = ad.add(out, context)
+                out, amap = ad.attention(out, self.params[f"attn{layer}_w"], spatial)
+                attention_maps.append(amap)
             if cfg.residual and layer > 0:
                 out = ad.add(out, h)
             h = out
 
-        bottleneck = ad.add(ad.matmul(h, self.params["bottleneck_w"]), self.params["bottleneck_b"])
-        logits = ad.add(ad.matmul(bottleneck, self.params["output_w"]), self.params["output_b"])
+        bottleneck = ad.matmul(h, self.params["bottleneck_w"], self.params["bottleneck_b"])
+        logits = ad.matmul(bottleneck, self.params["output_w"], self.params["output_b"])
         return ad.softmax(logits), attention_maps
 
     def start(self, features: ImageFeatures):
@@ -248,16 +246,3 @@ class CaptionModel:
         probs, _ = self.forward(np.asarray(ids)[None], [features])
         return probs.data[0]
 
-
-def attend(d: Tensor, spatial: Tensor, w: Tensor):
-    """Attention for all rows of a batch d [B, T, H] at once, over the spatial
-    grids [B, G*G, C], a constant.
-
-    scores[j, i] = (w^T d_j) . c_i over the G*G locations i; rows are
-    softmax-normalized and the context is the score-weighted sum of the
-    spatial cells. Returns (context [B, T, C], attention weights
-    [B, T, G*G]); each row of weights sums to 1.
-    """
-    scores = ad.matmul(ad.matmul(d, w), Tensor(spatial.data.swapaxes(-1, -2)))
-    amap = ad.softmax(scores)
-    return ad.matmul(amap, spatial), amap

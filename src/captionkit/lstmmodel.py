@@ -75,7 +75,7 @@ class LstmModel:
         """(cell, hidden) of a list of B ImageFeatures: a zero cell [B, 1, 2H],
         whose hidden half no step reads, and h0 = linear(relu(global feature))."""
         x = Tensor(np.maximum(global_rows(features, self.config.feature_dim), 0.0))
-        h0 = ad.add(ad.matmul(x, self.params["image_w"]), self.params["image_b"])
+        h0 = ad.matmul(x, self.params["image_w"], self.params["image_b"])
         return Tensor(np.zeros((len(features), 1, 2 * self.config.hidden_dim))), h0
 
     def step(self, state, token_ids):
@@ -89,13 +89,11 @@ class LstmModel:
         cell, hidden = state
         ids = np.reshape(token_ids, hidden.data.shape[:-1])
         emb = ad.embedding_lookup(self.params["word_embedding"], ids)
-        z = ad.add(
-            ad.matmul(ad.concat((emb, hidden), axis=-1), self.params["gates_w"]),
-            self.params["gates_b"],
-        )
+        z = ad.matmul(ad.concat((emb, hidden), axis=-1), self.params["gates_w"],
+                      self.params["gates_b"])
         cell = ad.lstm_cell(z, cell)
         hidden = ad.slice_cols(cell, h, 2 * h)
-        logits = ad.add(ad.matmul(hidden, self.params["output_w"]), self.params["output_b"])
+        logits = ad.matmul(hidden, self.params["output_w"], self.params["output_b"])
         return (cell, hidden), ad.softmax(logits)
 
     def forward(self, ids, features, seed=None):

@@ -456,8 +456,7 @@ class TestMeasurementPass:
         _, g_in, g_out = analysis._probe_chunk(
             model, examples, analysis.teacher_forced_ids([ex.seq for ex in examples]))
         assert np.isfinite(g_in).all() and np.isfinite(g_out).all()
-        with np.errstate(over="ignore"):
-            probe = analysis.grad_norm_probe(model, examples)
+        probe = analysis.grad_norm_probe(model, examples)
         assert probe.grad_norm_out == math.inf and math.isfinite(probe.grad_norm_in)
         assert not probe.finite
 

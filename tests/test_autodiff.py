@@ -271,6 +271,132 @@ class TestSoftmax:
         assert np.allclose(shifted, y, atol=1e-12)
 
 
+def _weighted_loss(out, weights):
+    return ad.sum_all(ad.mul(out, t(weights, grad=False)))
+
+
+class TestMatmulBias:
+    """``matmul``'s bias operand against ``x @ w + b`` in numpy: the forward
+    and every gradient ``==``, and finite differences for each operand."""
+
+    @pytest.mark.parametrize("lead, per_example", [((), False), ((2,), False), ((2,), True)],
+                             ids=["2-d", "shared", "per-example"])
+    def test_equals_the_product_plus_the_bias(self, lead, per_example):
+        rng = np.random.default_rng(5)
+        x = t(rng.normal(size=lead + (3, 4)))
+        w = t(rng.normal(size=(lead if per_example else ()) + (4, 5)))
+        b = t(rng.normal(size=5))
+        upstream = rng.normal(size=lead + (3, 5))
+        out = ad.matmul(x, w, b)
+        grads = ad.backward(_weighted_loss(out, upstream))
+        assert np.array_equal(out.data, x.data @ w.data + b.data)
+        assert np.array_equal(grads[x], upstream @ w.data.swapaxes(-1, -2))
+        assert np.array_equal(grads[w], x.data.swapaxes(1, 2) @ upstream if per_example
+                              else x.data.reshape(-1, 4).T @ upstream.reshape(-1, 5))
+        assert np.array_equal(grads[b], upstream.sum(axis=tuple(range(len(lead) + 1))))
+
+    @pytest.mark.parametrize("per_example", [False, True], ids=["shared", "per-example"])
+    def test_gradients_match_finite_differences(self, per_example):
+        rng = np.random.default_rng(6)
+        x = t(rng.normal(size=(2, 3, 4)))
+        w = t(rng.normal(size=((2,) if per_example else ()) + (4, 5)))
+        b = t(rng.normal(size=5))
+        upstream = rng.normal(size=(2, 3, 5))
+        grads = ad.backward(_weighted_loss(ad.matmul(x, w, b), upstream))
+        fd = finite_difference(lambda: ((x.data @ w.data + b.data) * upstream).sum(),
+                               [x.data, w.data, b.data])
+        for p, numeric in zip((x, w, b), fd):
+            assert_grads_close(grads[p], numeric, rtol=1e-6)
+
+    def test_the_probe_view_gives_each_example_its_weight_gradient(self):
+        # As the probe tracks output_w: per-example copies of w, a shared untracked bias.
+        rng = np.random.default_rng(7)
+        params = {"w": t(rng.normal(size=(4, 5))), "b": t(rng.normal(size=5))}
+        view = ad.view(params, tracked=("w",), batch=2)
+        x = rng.normal(size=(2, 3, 4))
+        upstream = rng.normal(size=(2, 3, 5))
+        grads = ad.backward(_weighted_loss(ad.matmul(t(x, grad=False), view["w"], view["b"]),
+                                           upstream))
+        assert list(grads) == [view["w"]]
+        for e in range(2):
+            own = ad.backward(_weighted_loss(ad.matmul(t(x[e:e + 1], grad=False), params["w"],
+                                                       params["b"]), upstream[e:e + 1]))
+            assert np.array_equal(grads[view["w"]][e], own[params["w"]])
+
+
+def composed_attention(x, wd, grid, upstream):
+    """The forward and gradients of the ops that ``attention`` replaces, in
+    numpy: ``matmul`` by ``w``, ``matmul`` by the transposed grid,
+    ``softmax``, ``matmul`` by the grid and ``add`` of ``d``, each backward as
+    its op's, with ``d``'s two contributions summed in the order ``backward``
+    receives them. Returns (d + context, weights, d gradient, w gradient)."""
+    cells = grid.swapaxes(-1, -2)
+    scores = (x @ wd) @ cells
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = x + weights @ grid
+    g_weights = upstream @ grid.swapaxes(-1, -2)
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    g_dw = g_scores @ cells.swapaxes(-1, -2)
+    h = wd.shape[0]
+    return out, weights, upstream + g_dw @ wd.T, x.reshape(-1, h).T @ g_dw.reshape(-1, h)
+
+
+class TestAttention:
+    SHAPES = {"2-d": ((), 3, 4, 5), "batched": ((2,), 3, 4, 5)}
+
+    @staticmethod
+    def _inputs(lead, rows, width, cells, seed):
+        rng = np.random.default_rng(seed)
+        return (t(rng.normal(size=lead + (rows, width))), t(rng.normal(size=(width, width))),
+                t(rng.normal(size=lead + (cells, width)), grad=False),
+                rng.normal(size=lead + (rows, width)))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_equals_the_composed_numpy_ops(self, shape):
+        d, w, spatial, upstream = self._inputs(*self.SHAPES[shape], seed=8)
+        out, weights = ad.attention(d, w, spatial)
+        grads = ad.backward(_weighted_loss(out, upstream))
+        expected = composed_attention(d.data, w.data, spatial.data, upstream)
+        for got, want in zip((out.data, weights, grads[d], grads[w]), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_equals_the_composed_autodiff_ops(self, shape):
+        d, w, spatial, upstream = self._inputs(*self.SHAPES[shape], seed=9)
+        out, weights = ad.attention(d, w, spatial)
+        grads = ad.backward(_weighted_loss(out, upstream))
+        scores = ad.matmul(ad.matmul(d, w), t(spatial.data.swapaxes(-1, -2), grad=False))
+        amap = ad.softmax(scores)
+        composed = ad.add(d, ad.matmul(amap, spatial))
+        composed_grads = ad.backward(_weighted_loss(composed, upstream))
+        assert np.array_equal(out.data, composed.data)
+        assert np.array_equal(weights, amap.data)
+        assert np.array_equal(grads[d], composed_grads[d])
+        assert np.array_equal(grads[w], composed_grads[w])
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_gradients_match_finite_differences(self, shape):
+        d, w, spatial, upstream = self._inputs(*self.SHAPES[shape], seed=10)
+        grads = ad.backward(_weighted_loss(ad.attention(d, w, spatial)[0], upstream))
+
+        def loss():
+            return (ad.attention(t(d.data, grad=False), t(w.data, grad=False), spatial)[0].data
+                    * upstream).sum()
+
+        fd = finite_difference(loss, [d.data, w.data])
+        assert_grads_close(grads[d], fd[0], rtol=1e-6)
+        assert_grads_close(grads[w], fd[1], rtol=1e-6)
+
+    def test_a_batch_equals_each_example_alone(self):
+        d, w, spatial, upstream = self._inputs((3,), 4, 4, 6, seed=11)
+        out, weights = ad.attention(d, w, spatial)
+        for e in range(3):
+            own, own_weights = ad.attention(t(d.data[e]), w, t(spatial.data[e], grad=False))
+            assert np.array_equal(out.data[e], own.data)
+            assert np.array_equal(weights[e], own_weights)
+
+
 class TestElementwiseSuite:
     def test_dropout_p_zero_identity(self):
         x = t(np.arange(12.0).reshape(3, 4))
@@ -432,7 +558,7 @@ class TestView:
         for name, p in params.items():
             assert view[name] is not p and view[name].data is p.data, name
             assert not view[name].requires_grad, name
-        out = ad.add(ad.matmul(view["table"], view["w"]), view["b"])
+        out = ad.matmul(view["table"], view["w"], view["b"])
         assert not out.requires_grad and out._bw is None
         params["w"].data[0, 0] += 1.0
         assert view["w"].data[0, 0] == params["w"].data[0, 0]
@@ -724,6 +850,12 @@ def test_causal_conv_future_independence_property(seed, cut, K):
 @pytest.mark.parametrize("call, fragment", [
     (lambda: ad.add(t(np.zeros((2, 3))), t(np.zeros(2))), "add: incompatible shapes"),
     (lambda: ad.mul(t(np.zeros(3)), t(np.zeros(2))), "mul: incompatible shapes"),
+    (lambda: ad.matmul(t(np.zeros((2, 3))), t(np.zeros((3, 4))), t(np.zeros(3))),
+     "matmul: bias shape (3,), expected (4,)"),
+    (lambda: ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((4, 4))), t(np.zeros((5, 4)))),
+     "attention: rows (2, 3, 4), weight (4, 4) and grids (5, 4)"),
+    (lambda: ad.attention(t(np.zeros((3, 4))), t(np.zeros((4, 5))), t(np.zeros((6, 5)))),
+     "attention: rows (3, 4), weight (4, 5) and grids (6, 5)"),
     (lambda: ad.causal_conv1d(t(np.zeros(4)), t(np.zeros((2, 1, 3))), t(np.zeros(3))),
      "causal_conv1d: expected [T,Cin] or [B,T,Cin] and [K,Cin,Cout]"),
     (lambda: ad.causal_conv1d(t(np.zeros((4, 1))), t(np.zeros((2, 1, 3))), t(np.zeros(2))),

@@ -49,7 +49,8 @@ class TestBatchedOps:
             ad.matmul(t(np.zeros((2, 3, 4))), t(np.zeros((3, 4, 5))))
 
     def test_add_bias_over_batch(self):
-        weighted_fd_check(ad.add, [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=4)])
+        weighted_fd_check(ad.matmul, [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(4, 5)),
+                                      self.rng.normal(size=5)])
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_causal_conv1d(self, K):

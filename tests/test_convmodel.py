@@ -251,33 +251,34 @@ def test_a_decoding_step_builds_at_most_31_op_results(monkeypatch):
 
 
 class TestAttendOp:
+    # ad.attention returns d + context; each test reads the context as out - d.
     def test_identical_cells_give_uniform_weights(self):
         cell = np.array([1.0, -2.0, 0.5])
         spatial = Tensor(np.tile(cell, (9, 1)))
-        d = Tensor(np.random.default_rng(0).normal(size=(1, 4)))
-        w = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        context, amap = cm.attend(d, spatial, w)
-        assert np.allclose(amap.data, 1.0 / 9.0, atol=1e-12)
-        assert np.allclose(context.data, cell.reshape(1, 3), atol=1e-12)
+        d = Tensor(np.random.default_rng(0).normal(size=(1, 3)))
+        w = Tensor(np.random.default_rng(1).normal(size=(3, 3)))
+        out, amap = ad.attention(d, w, spatial)
+        assert np.allclose(amap, 1.0 / 9.0, atol=1e-12)
+        assert np.allclose(out.data - d.data, cell.reshape(1, 3), atol=1e-12)
 
     def test_two_location_closed_form(self):
         # scores come out as [0, ln 3] -> weights [0.25, 0.75]
         c1 = np.array([0.0, 1.0])
         c2 = np.array([math.log(3.0), 1.0])
         spatial = Tensor(np.stack([c1, c2]))
-        d = Tensor([[1.0]])
-        w = Tensor([[1.0, 0.0]])
-        context, amap = cm.attend(d, spatial, w)
-        assert np.allclose(amap.data, [[0.25, 0.75]], atol=1e-12)
-        assert np.allclose(context.data, (0.25 * c1 + 0.75 * c2).reshape(1, 2), atol=1e-12)
+        d = Tensor([[1.0, 0.0]])
+        w = Tensor(np.eye(2))
+        out, amap = ad.attention(d, w, spatial)
+        assert np.allclose(amap, [[0.25, 0.75]], atol=1e-12)
+        assert np.allclose(out.data - d.data, (0.25 * c1 + 0.75 * c2).reshape(1, 2), atol=1e-12)
 
     def test_seven_by_seven_grid_gives_49_weights(self):
         spatial = Tensor(np.random.default_rng(2).normal(size=(49, 6)))
-        d = Tensor(np.random.default_rng(3).normal(size=(1, 5)))
-        w = Tensor(np.random.default_rng(4).normal(size=(5, 6)))
-        _, amap = cm.attend(d, spatial, w)
-        assert amap.data.shape == (1, 49)
-        assert np.allclose(amap.data.sum(), 1.0, atol=1e-9)
+        d = Tensor(np.random.default_rng(3).normal(size=(1, 6)))
+        w = Tensor(np.random.default_rng(4).normal(size=(6, 6)))
+        _, amap = ad.attention(d, w, spatial)
+        assert amap.shape == (1, 49)
+        assert np.allclose(amap.sum(), 1.0, atol=1e-9)
 
 
 class TestEndToEndGradients:
